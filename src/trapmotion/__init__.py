@@ -4,7 +4,8 @@ Library layout:
 
 * :mod:`trapmotion.model` - oscillator parameters and trajectory families;
 * :mod:`trapmotion.excitation` - the excitation amplitude u(t), the
-  fixed-frame amplitude delta(t), and all closed-form special cases;
+  fixed-frame amplitude delta(t), one-pass time profiles of both, and all
+  closed-form special cases;
 * :mod:`trapmotion.transitions` - Laguerre polynomials, Fock transition
   probabilities, coherent-state amplitudes, degenerate-level sums;
 * :mod:`trapmotion.oracle` - split-step grid propagation for independent
@@ -35,6 +36,7 @@ from .model import (
     make_sinusoidal,
 )
 from .excitation import (
+    ExcitationProfile,
     ExcitationResult,
     QuadratureConfig,
     closed_form_circular,
@@ -46,6 +48,7 @@ from .excitation import (
     closed_form_sinusoidal,
     closed_form_sinusoidal_resonance,
     excitation_amplitude,
+    excitation_profile,
     fixed_frame_delta,
     uniform_motion_gamma,
 )

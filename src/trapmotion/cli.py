@@ -319,14 +319,13 @@ def cmd_excite(scn: Scenario, out) -> int:
         raise ConfigError("excite handles 1-D trajectories; use probs for circular scenarios")
     times = build_times(scn, params, traj)
     cfg = build_quadrature(scn)
+    prof = exc.excitation_profile(traj, params, times, cfg)
+    phis = ["NA"] * len(times) if prof.phi is None else [_fmt(p) for p in prof.phi.tolist()]
     print("t,re_u,im_u,gamma,phi,delta_sq", file=out)
-    for t in times:
-        res = exc.excitation_amplitude(traj, params, t, cfg)
-        delta = exc.fixed_frame_delta(traj, params, t, cfg)
-        phi = "NA" if res.phi is None else _fmt(res.phi)
+    for t, u, gamma, phi, delta in zip(times, prof.u.tolist(), prof.gamma.tolist(), phis,
+                                       prof.delta.tolist()):
         print(
-            f"{_fmt(t)},{_fmt(res.u.real)},{_fmt(res.u.imag)},{_fmt(res.gamma)},"
-            f"{phi},{_fmt(abs(delta) ** 2)}",
+            f"{_fmt(t)},{_fmt(u.real)},{_fmt(u.imag)},{_fmt(gamma)},{phi},{_fmt(abs(delta) ** 2)}",
             file=out,
         )
     return 0

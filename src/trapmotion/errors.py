@@ -22,9 +22,12 @@ class ResourceError(TrapmotionError):
     enumeration size, propagation domain)."""
 
 
-class ResonanceError(ValueError):
+class ResonanceError(TrapmotionError, ValueError):
     """A closed form was evaluated at (or too close to) its singular
-    drive-frequency point; the caller should use the resonance expression."""
+    drive-frequency point; the caller should use the resonance expression.
+
+    Also a ValueError, so callers that treat it as a bad argument keep
+    working."""
 
 
 class ConfigError(TrapmotionError):

@@ -36,12 +36,12 @@ import numpy as np
 
 from .model import Axis, OscillatorParams, Trajectory
 from .quadrature import (
+    MAX_TOTAL_INTERVALS,
     SCHEMES,
-    composite_simpson,
-    cumulative_simpson,
-    filon_exponential,
+    BlockGrid,
+    initial_intervals,
     oscillatory_integral,
-    piece_grids,
+    piece_bounds,
 )
 from .errors import NumericalError, ResonanceError
 
@@ -111,6 +111,11 @@ def _amplitude_prefactor(params: OscillatorParams) -> complex:
     return -1j * math.sqrt(params.mass / (2.0 * params.hbar * params.omega))
 
 
+def _delta_prefactor(params: OscillatorParams) -> complex:
+    omega = params.omega
+    return -1j * params.mass * omega ** 2 / math.sqrt(2.0 * params.mass * params.hbar * omega)
+
+
 def excitation_amplitude(traj, params: OscillatorParams, t: float,
                          cfg: QuadratureConfig | None = None, *,
                          axis: int = 0, with_phase: bool = True) -> ExcitationResult:
@@ -119,7 +124,8 @@ def excitation_amplitude(traj, params: OscillatorParams, t: float,
     ``traj`` may be a :class:`Trajectory` (with ``axis`` selecting the
     component) or a bare :class:`Axis`. Set ``with_phase=False`` to skip the
     cumulative phase integral when only gamma is needed (e.g. inside
-    optimizer loops).
+    optimizer loops). With the phase this is the one-instant case of
+    :func:`excitation_profile`.
     """
     ax, duration = _resolve_axis(traj, axis)
     cfg = cfg or QuadratureConfig()
@@ -140,47 +146,8 @@ def excitation_amplitude(traj, params: OscillatorParams, t: float,
         u = pref * res.value
         return ExcitationResult(u, u.real ** 2 + u.imag ** 2, None, t)
 
-    # Joint refinement: the cumulative u(tau) profile feeds the phase
-    # integrand, so both are evaluated on the same doubling grids (split at
-    # any acceleration breakpoints). Raw kernel integrals (no prefactor) are
-    # compared against the L1 size of b'' so the stopping rule is invariant
-    # under rescaling the trajectory.
-    prev_raw = prev_phi = None
-    diff_raw = diff_phi = math.inf
-    mass_over_hbar = params.mass / params.hbar
-    for level in range(cfg.max_doublings + 1):
-        raw = 0.0 + 0.0j
-        phi_val = 0.0
-        scale_raw = scale_phi = 0.0
-        for ts, te in piece_grids(0.0, t, omega, ax.feature_time,
-                                  cfg.steps_per_period, level, ax.breakpoints):
-            dx = ts[1] - ts[0]
-            acc = np.asarray(ax.bddot(te), dtype=float)
-            kernel = acc * np.exp(-1j * omega * te)
-            cum = raw + cumulative_simpson(kernel, dx)
-            if cfg.scheme == "composite-filon":
-                raw = raw + filon_exponential(acc, ts, -omega)
-            else:
-                raw = complex(cum[-1])
-            u_tau = pref * cum
-            udot_tau = pref * kernel
-            pos = np.asarray(ax.b(te), dtype=float)
-            g = np.imag(udot_tau * np.conj(u_tau)) + mass_over_hbar * pos * acc
-            phi_val += float(composite_simpson(g, dx))
-            scale_raw += float(np.trapezoid(np.abs(acc), dx=dx))
-            scale_phi += float(np.trapezoid(np.abs(g), dx=dx))
-        if prev_raw is not None:
-            diff_raw = abs(raw - prev_raw)
-            diff_phi = abs(phi_val - prev_phi)
-            if diff_raw <= cfg.tol * scale_raw and diff_phi <= cfg.tol * scale_phi:
-                u_val = pref * raw
-                return ExcitationResult(u_val, u_val.real ** 2 + u_val.imag ** 2, phi_val, t)
-        prev_raw, prev_phi = raw, phi_val
-    raise NumericalError(
-        f"excitation quadrature did not stabilize after {cfg.max_doublings} "
-        f"doublings (last changes: u-kernel {diff_raw:.3e}, phi {diff_phi:.3e})",
-        residual=max(diff_raw, diff_phi),
-    )
+    prof = excitation_profile(ax, params, (t,), cfg)
+    return ExcitationResult(complex(prof.u[0]), float(prof.gamma[0]), float(prof.phi[0]), t)
 
 
 def fixed_frame_delta(traj, params: OscillatorParams, t: float,
@@ -192,7 +159,7 @@ def fixed_frame_delta(traj, params: OscillatorParams, t: float,
     if t == 0.0:
         return 0.0 + 0.0j
     omega = params.omega
-    pref = -1j * params.mass * omega ** 2 / math.sqrt(2.0 * params.mass * params.hbar * omega)
+    pref = _delta_prefactor(params)
     res = oscillatory_integral(
         ax.b, 0.0, t, +omega,
         steps_per_period=cfg.steps_per_period, feature_time=ax.feature_time,
@@ -200,6 +167,186 @@ def fixed_frame_delta(traj, params: OscillatorParams, t: float,
         breakpoints=ax.breakpoints,
     )
     return pref * res.value
+
+
+# --- time profiles ------------------------------------------------------------
+
+#: Intervals per vectorized batch of a profile refinement. Long windows are
+#: streamed in batches of this size with running totals carried across, so
+#: memory stays flat however long the window.
+PROFILE_CHUNK = 1 << 14
+
+
+@dataclass(frozen=True)
+class ExcitationProfile:
+    """u, gamma, phi and the fixed-frame delta at a list of instants.
+
+    Arrays follow the order of the requested instants, duplicates included.
+    ``phi`` is None when the trajectory does not start from the origin at
+    rest. ``level`` is the refinement level the profile converged at and
+    ``n_intervals`` the quadrature intervals it used there (both 0 when no
+    instant lies after t = 0).
+    """
+
+    t: np.ndarray
+    u: np.ndarray
+    gamma: np.ndarray
+    phi: np.ndarray | None
+    delta: np.ndarray
+    level: int
+    n_intervals: int
+
+
+def _profile_segments(ax: Axis, omega: float, instants: np.ndarray, steps_per_period: int):
+    """Level-0 segments ``(lo, hi, intervals, instant index or -1)`` over [0, instants[-1]].
+
+    Each breakpoint piece keeps the interval count :func:`piece_grids` gives
+    it; the instants inside it become extra nodes, and each sub-piece gets
+    the fewest even intervals (at least 2) whose step is no longer than the
+    piece's own.
+    """
+    t_end = float(instants[-1])
+    index = {float(t): k for k, t in enumerate(instants)}
+    segments = []
+    for lo, hi in piece_bounds(0.0, t_end, ax.breakpoints):
+        n0 = initial_intervals(hi - lo, omega, ax.feature_time, steps_per_period)
+        nodes = [lo, *(float(t) for t in instants if lo < t < hi), hi]
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            m = max(2, math.ceil((b - a) / (hi - lo) * n0 - 1e-9))
+            segments.append((a, b, m + m % 2, index.get(b, -1)))
+    return segments
+
+
+def _level_batches(segments, level: int):
+    """The segments of refinement ``level`` as :class:`BlockGrid` batches of
+    at most :data:`PROFILE_CHUNK` intervals.
+
+    Yields ``(blocks, instants)``: block rows ``(lo, hi, m, j0, j1)`` and,
+    per block, the index of the instant read at its end (-1 when none is).
+    """
+    blocks, instants, size = [], [], 0
+    for lo, hi, m0, k in segments:
+        m = m0 << level
+        j0 = 0
+        while j0 < m:
+            j1 = min(m, j0 + PROFILE_CHUNK - size)
+            blocks.append((lo, hi, m, j0, j1))
+            instants.append(k if j1 == m else -1)
+            size += j1 - j0
+            j0 = j1
+            if size == PROFILE_CHUNK:
+                yield blocks, np.array(instants)
+                blocks, instants, size = [], [], 0
+    if blocks:
+        yield blocks, np.array(instants)
+
+
+def _profile_level(ax: Axis, params: OscillatorParams, segments, cuts, level: int,
+                   filon: bool, with_phase: bool, n_instants: int):
+    """Running u-kernel, phi and delta-kernel integrals and their L1 scales,
+    read at every instant, on the grid of refinement ``level``.
+
+    Instants sit at block ends. A batch gives running integrals from its
+    first node; the totals carried in from earlier batches are added on.
+    """
+    omega = params.omega
+    pref_sq = params.mass / (2.0 * params.hbar * omega)
+    mass_over_hbar = params.mass / params.hbar
+    # u kernel, phi, delta kernel, then the L1 scale of each
+    readings = (np.zeros(n_instants, complex), np.zeros(n_instants), np.zeros(n_instants, complex),
+                np.zeros(n_instants), np.zeros(n_instants), np.zeros(n_instants))
+    totals = [0.0 + 0.0j, 0.0, 0.0 + 0.0j, 0.0, 0.0, 0.0]
+    for blocks, instants in _level_batches(segments, level):
+        grid = BlockGrid(blocks)
+        te = grid.sample_times(cuts)
+        acc = np.asarray(ax.bddot(te), dtype=float)
+        pos = np.asarray(ax.b(te), dtype=float)
+        c, s = np.cos(omega * te), np.sin(omega * te)
+        k_re, k_im = acc * c, -(acc * s)         # u kernel acc e^{-i omega t}
+        # Filon integrates acc against e^{-i omega t}; Simpson the sampled kernel
+        u_rule = (acc, -omega, c, s) if filon else (k_re + 1j * k_im,)
+        d_rule = (pos, omega, c, s) if filon else (pos * c + 1j * (pos * s),)
+        running = [None, None, grid.integral(*d_rule),
+                   grid.trapezoid(np.abs(acc)), None, grid.trapezoid(np.abs(pos))]
+        if with_phase:
+            cum = grid.cumulative(*u_rule)
+            running[0] = cum[grid.ends]
+            # Im[u' u*] = |pref|^2 Im[kernel * conj(running kernel integral)]
+            cum += totals[0]
+            g = pref_sq * (k_im * cum.real - k_re * cum.imag) + mass_over_hbar * pos * acc
+            running[1] = grid.integral(g)
+            running[4] = grid.trapezoid(np.abs(g))
+        else:
+            running[0] = grid.integral(*u_rule)
+        read = instants >= 0
+        for q, run in enumerate(running):
+            if run is not None:
+                readings[q][instants[read]] = totals[q] + run[read]
+                totals[q] += run[-1]
+    return readings[:3], readings[3:]
+
+
+def excitation_profile(traj, params: OscillatorParams, times,
+                       cfg: QuadratureConfig | None = None, *, axis: int = 0) -> ExcitationProfile:
+    """u, gamma, phi and delta at every instant of ``times`` from one refinement.
+
+    All instants are prefixes of the same cumulative integrals, so one grid
+    over [0, max(times)] serves them all: it is split at the acceleration
+    breakpoints (sampled one-sidedly, as in :func:`piece_grids`) and at each
+    instant (a plain node), and doubled until every instant's u, phi (when
+    defined) and delta each change by at most ``cfg.tol`` times their own L1
+    scale up to that instant. Instants may repeat, come in any order, and
+    include t = 0. Fails with :class:`NumericalError` like
+    :func:`excitation_amplitude`.
+    """
+    ax, duration = _resolve_axis(traj, axis)
+    cfg = cfg or QuadratureConfig()
+    t_req = np.array([float(t) for t in times], dtype=float)
+    for t in t_req:
+        _check_time(t, duration)
+    with_phase = ax.starts_at_zero and ax.starts_at_rest
+    instants, where = np.unique(t_req, return_inverse=True)
+    n = len(instants)
+    raw, phi, d_raw = np.zeros(n, complex), np.zeros(n), np.zeros(n, complex)
+    level = n_intervals = 0
+    if n and instants[-1] > 0.0:
+        segments = _profile_segments(ax, params.omega, instants, cfg.steps_per_period)
+        cuts = set(p for p in ax.breakpoints if 0.0 < p < instants[-1])
+        prev = None
+        changes = (math.inf,) * 3
+        for level in range(cfg.max_doublings + 1):
+            n_intervals = sum(m for _, _, m, _ in segments) << level
+            if n_intervals > MAX_TOTAL_INTERVALS:
+                raise NumericalError(
+                    f"refinement level {level} would need more than "
+                    f"{MAX_TOTAL_INTERVALS} quadrature intervals"
+                )
+            values, scales = _profile_level(ax, params, segments, cuts, level,
+                                            cfg.scheme == "composite-filon", with_phase, n)
+            if prev is not None:
+                diffs = [np.abs(v - p) for v, p in zip(values, prev)]
+                changes = tuple(float(np.max(d)) for d in diffs)
+                if all(np.all(d <= cfg.tol * s) for d, s in zip(diffs, scales)):
+                    break
+            prev = values
+        else:
+            raise NumericalError(
+                f"excitation quadrature did not stabilize after {cfg.max_doublings} "
+                f"doublings (last changes: u-kernel {changes[0]:.3e}, phi {changes[1]:.3e}, "
+                f"delta-kernel {changes[2]:.3e})",
+                residual=max(changes),
+            )
+        raw, phi, d_raw = values
+    u = _amplitude_prefactor(params) * raw[where]
+    return ExcitationProfile(
+        t=t_req,
+        u=u,
+        gamma=u.real ** 2 + u.imag ** 2,
+        phi=phi[where] if with_phase else None,
+        delta=_delta_prefactor(params) * d_raw[where],
+        level=level,
+        n_intervals=n_intervals,
+    )
 
 
 # --- closed forms -----------------------------------------------------------

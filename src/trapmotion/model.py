@@ -123,9 +123,6 @@ class Trajectory:
             all(a.starts_at_rest for a in self.axes),
         )
 
-    def axis(self, index: int = 0) -> Axis:
-        return self.axes[index]
-
 
 # --- C2 quintic smoothstep: sigma(u) = 6u^5 - 15u^4 + 10u^3 on [0, 1],
 #     clamped outside, so sigma' vanishes identically beyond the ramp.

@@ -17,6 +17,7 @@ oscillation), so the stopping rule is invariant under rescaling f.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -168,6 +169,125 @@ def piece_grids(a: float, b: float, omega: float, feature_time: float | None,
         else:
             grids.append((ts, ts))
     return grids
+
+
+@functools.lru_cache(maxsize=1024)
+def _quadratic_weights(theta: float, upper: float) -> tuple[complex, complex, complex]:
+    """Weights (w0, w1, w2) such that integral_0^upper P(u) e^{i theta u} du
+    = w0 P(0) + w1 P(1) + w2 P(2) for every quadratic P.
+
+    Built from the moments m_k = integral_0^upper u^k e^{i theta u} du, summed
+    as power series in i theta upper, so small theta loses nothing to
+    cancellation. At theta = 0 they are the Simpson weights.
+    """
+    z = 1j * theta * upper
+    if abs(z) > 4.0:
+        raise ValueError("quadratic Filon weights need |theta * upper| <= 4")
+    m = [0j, 0j, 0j]
+    term, n = 1.0 + 0.0j, 0
+    while abs(term) > 1e-18:
+        for k in range(3):
+            m[k] += term / (n + k + 1)
+        n += 1
+        term *= z / n
+    m0, m1, m2 = (mk * upper ** (k + 1) for k, mk in enumerate(m))
+    return (m2 - 3.0 * m1 + 2.0 * m0) / 2.0, 2.0 * m1 - m2, (m2 - m1) / 2.0
+
+
+class BlockGrid:
+    """Uniform sub-grids ("blocks") laid end to end, integrated panel by panel.
+
+    Block b holds nodes ``j0..j1`` of ``np.linspace(lo, hi, m + 1)``, given as
+    a row ``(lo, hi, m, j0, j1)`` with j0 < j1, both even, so its intervals
+    pair into Simpson panels. Adjacent blocks share no samples: a node where
+    one block ends and the next begins appears in both. Every rule returns
+    running integrals from the first node, which carry on across blocks.
+
+    The panel rule is Filon's: f is replaced by its quadratic interpolant on
+    the panel and the product with e^{i omega t} is integrated exactly. At
+    ``omega = 0`` that is Simpson's rule, and ``fvals`` may be complex;
+    otherwise ``fvals`` is real and ``cos_t`` and ``sin_t`` hold
+    cos(|omega| t) and sin(|omega| t) at the nodes.
+    """
+
+    def __init__(self, blocks):
+        lo, hi, m, j0, j1 = (np.array(col) for col in zip(*blocks))
+        step = (hi - lo) / m
+        nodes = j1 - j0 + 1
+        self.first = np.concatenate(([0], np.cumsum(nodes)))
+        self.starts, self.ends = self.first[:-1], self.first[1:] - 1
+        index = np.arange(self.first[-1]) + np.repeat(j0 - self.starts, nodes)
+        self.ts = np.repeat(lo, nodes) + index * np.repeat(step, nodes)
+        closes = j1 == m
+        self.ts[self.ends[closes]] = hi[closes]
+        self._bounds = (lo, hi, m, j0 == 0, closes)
+        self.dx = (lo + step) - lo    # the spacing the nodes actually have
+        self._panels = (j1 - j0) // 2
+        panels_through = np.cumsum(self._panels)     # panels in blocks 0..b
+        self._last_panels = panels_through - 1
+        self._panel_starts = (np.repeat(self.starts - 2 * (panels_through - self._panels),
+                                        self._panels)
+                              + 2 * np.arange(panels_through[-1]))
+        self._trapezoid = np.repeat(self.dx, nodes)
+        self._trapezoid[self.starts] *= 0.5
+        self._trapezoid[self.ends] *= 0.5
+
+    def sample_times(self, cuts) -> np.ndarray:
+        """Node times, except that a segment end lying in ``cuts`` is moved
+        1e-9 of a step into its own segment (as in :func:`piece_grids`)."""
+        if not cuts:
+            return self.ts
+        lo, hi, m, opens, closes = self._bounds
+        cut_list = list(cuts)
+        inset = 1e-9 * (hi - lo) / m
+        te = self.ts.copy()
+        at_lo = opens & np.isin(lo, cut_list)
+        at_hi = closes & np.isin(hi, cut_list)
+        te[self.starts[at_lo]] = (lo + inset)[at_lo]
+        te[self.ends[at_hi]] = (hi - inset)[at_hi]
+        return te
+
+    def trapezoid(self, y: np.ndarray) -> np.ndarray:
+        """Running composite trapezoid integral at each block's last node."""
+        return np.cumsum(np.add.reduceat(self._trapezoid * y, self.starts))
+
+    def integral(self, fvals: np.ndarray, omega: float = 0.0, cos_t=None,
+                 sin_t=None) -> np.ndarray:
+        """Running integral of f(t) e^{i omega t} at each block's last node."""
+        return np.cumsum(self._panel_steps(fvals, omega, cos_t, sin_t, 2.0))[self._last_panels]
+
+    def cumulative(self, fvals: np.ndarray, omega: float = 0.0, cos_t=None,
+                   sin_t=None) -> np.ndarray:
+        """Running integral of f(t) e^{i omega t} at every node.
+
+        Odd nodes add the integral of the same quadratic over the first half
+        of their panel; at ``omega = 0`` that is the (5, 8, -1)/12 rule of
+        :func:`cumulative_simpson`.
+        """
+        p0 = self._panel_starts
+        run = np.concatenate(([0.0], np.cumsum(self._panel_steps(fvals, omega, cos_t, sin_t, 2.0))))
+        out = np.empty(len(fvals), dtype=run.dtype)
+        out[p0] = run[:-1]
+        out[p0 + 1] = run[:-1] + self._panel_steps(fvals, omega, cos_t, sin_t, 1.0)
+        out[p0 + 2] = run[1:]
+        return out
+
+    def _panel_steps(self, fvals, omega, cos_t, sin_t, upper: float) -> np.ndarray:
+        """Filon integral over the first ``upper`` intervals of every panel."""
+        p0 = self._panel_starts
+        w = np.array([_quadratic_weights(omega * h, upper) for h in self.dx]) * self.dx[:, None]
+        if len(w) > 1:
+            w = np.repeat(w, self._panels, axis=0)
+        f = (fvals[p0], fvals[p0 + 1], fvals[p0 + 2])
+        re = sum(w[..., k].real * f[k] for k in range(3))
+        if omega == 0.0:
+            return re
+        im = sum(w[..., k].imag * f[k] for k in range(3))
+        cos0, sin0 = cos_t[p0], (1.0 if omega > 0.0 else -1.0) * sin_t[p0]
+        step = np.empty(len(p0), dtype=complex)   # e^{i omega x0} (re + i im)
+        step.real = cos0 * re - sin0 * im
+        step.imag = sin0 * re + cos0 * im
+        return step
 
 
 def oscillatory_integral(f, a: float, b: float, omega: float, *,

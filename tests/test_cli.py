@@ -428,7 +428,7 @@ def test_numerical_error_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("synthetic failure", residual=1.0)
 
-    monkeypatch.setattr(cli_mod.exc, "excitation_amplitude", boom)
+    monkeypatch.setattr(cli_mod.exc, "excitation_profile", boom)
     cfg = write_config(tmp_path, """
 [oscillator]
 dimensionless = on

@@ -246,6 +246,19 @@ def test_sinusoidal_resonance_guard(params):
     assert closed_form_sinusoidal(1.0, 1.0 + 1e-6, params, 3.0) > 0.0
 
 
+def test_resonance_error_is_a_package_error(params):
+    from trapmotion import TrapmotionError
+
+    with pytest.raises(TrapmotionError):
+        closed_form_sinusoidal(1.0, 1.0, params, 3.0)
+    try:
+        closed_form_circular(1.0, 1.0, params, 1)
+    except ValueError as err:  # existing ValueError handlers still catch it
+        assert isinstance(err, ResonanceError)
+    else:
+        pytest.fail("no ResonanceError at resonance")
+
+
 def test_sinusoidal_resonance_value(params):
     # G (pi s)^2 at the return instant, and quadrature agrees at resonance
     R, s = 0.1, 2

@@ -5,6 +5,7 @@ import pytest
 
 from trapmotion.errors import NumericalError
 from trapmotion.quadrature import (
+    BlockGrid,
     composite_simpson,
     cumulative_simpson,
     filon_exponential,
@@ -146,3 +147,88 @@ def test_discontinuous_integrand_needs_breakpoints():
 def test_piece_bounds_filters_interior_points():
     assert piece_bounds(0.0, 2.0, (1.0, 5.0, -1.0, 0.0, 2.0)) == [(0.0, 1.0), (1.0, 2.0)]
     assert piece_bounds(0.0, 2.0) == [(0.0, 2.0)]
+
+
+# --- block grids ----------------------------------------------------------------
+
+# one piece [0.3, 17] cut into two blocks, then a second piece [17, 20]
+_BLOCKS = [(0.3, 17.0, 200, 0, 120), (0.3, 17.0, 200, 120, 200), (17.0, 20.0, 10, 0, 10)]
+
+
+def _pieces():
+    return np.linspace(0.3, 17.0, 201), np.linspace(17.0, 20.0, 11)
+
+
+def _f(t):
+    return np.cos(0.3 * t) + t ** 2
+
+
+def test_block_grid_nodes_are_linspace_nodes():
+    grid = BlockGrid(_BLOCKS)
+    first, second = _pieces()
+    np.testing.assert_array_equal(grid.ts, np.concatenate([first[:121], first[120:], second]))
+    np.testing.assert_array_equal(grid.first, [0, 121, 202, 213])
+
+
+def test_block_grid_rules_match_single_grid_rules():
+    grid = BlockGrid(_BLOCKS)
+    f = _f(grid.ts)
+    first, second = _pieces()
+    whole = composite_simpson(_f(first), first[1] - first[0])
+    tail = composite_simpson(_f(second), second[1] - second[0])
+    np.testing.assert_allclose(grid.integral(f)[1:], [whole, whole + tail], rtol=1e-14)
+    trap = grid.trapezoid(f)
+    assert trap[1] == pytest.approx(np.trapezoid(_f(first), first), rel=1e-14)
+    for omega in (2.0, -2.0, 0.0):
+        w = abs(omega)
+        filon = grid.integral(f, omega, np.cos(w * grid.ts), np.sin(w * grid.ts))
+        whole = filon_exponential(_f(first), first, omega)
+        tail = filon_exponential(_f(second), second, omega)
+        np.testing.assert_allclose(filon[1:], [whole, whole + tail], rtol=1e-13)
+
+
+def test_block_grid_cumulative_runs_across_blocks():
+    grid = BlockGrid(_BLOCKS)
+    cum = grid.cumulative(_f(grid.ts))
+    first, second = _pieces()
+    ref = cumulative_simpson(_f(first), first[1] - first[0])
+    np.testing.assert_allclose(cum[:121], ref[:121], rtol=1e-13)
+    np.testing.assert_allclose(cum[121:202], ref[120:], rtol=1e-13)
+    tail = ref[-1] + cumulative_simpson(_f(second), second[1] - second[0])
+    np.testing.assert_allclose(cum[202:], tail, rtol=1e-13)
+
+
+@pytest.mark.parametrize("omega", [1.7, -1.7])
+def test_block_grid_cumulative_filon_is_exact_for_quadratics(omega):
+    from scipy.integrate import quad
+
+    grid = BlockGrid(_BLOCKS)
+    ts = grid.ts
+    w = abs(omega)
+
+    def f(t):
+        return 1.0 + 0.5 * t - 0.02 * t * t
+
+    cum = grid.cumulative(f(ts), omega, np.cos(w * ts), np.sin(w * ts))
+    for node in (1, 2, 57, 120, 121, 150, 202, 207, 212):
+        t = ts[node]
+        re = quad(lambda x: f(x) * math.cos(omega * x), 0.3, t, limit=200)[0]
+        im = quad(lambda x: f(x) * math.sin(omega * x), 0.3, t, limit=200)[0]
+        assert cum[node] == pytest.approx(complex(re, im), rel=1e-10, abs=1e-10)
+
+
+def test_block_grid_cumulative_rejects_unresolved_oscillation():
+    grid = BlockGrid([(0.0, 100.0, 10, 0, 10)])
+    ts = grid.ts
+    with pytest.raises(ValueError):
+        grid.cumulative(np.ones_like(ts), 1.0, np.cos(ts), np.sin(ts))
+
+
+def test_block_grid_insets_segment_ends_on_cuts():
+    grid = BlockGrid(_BLOCKS)
+    assert grid.sample_times(set()) is grid.ts
+    te = grid.sample_times({17.0})
+    moved = np.flatnonzero(te != grid.ts)
+    np.testing.assert_array_equal(moved, [201, 202])
+    assert 17.0 - te[201] == pytest.approx(1e-9 * 16.7 / 200, rel=1e-6)
+    assert te[202] - 17.0 == pytest.approx(1e-9 * 3.0 / 10, rel=1e-6)
