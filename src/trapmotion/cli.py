@@ -394,8 +394,9 @@ def cmd_oracle(scn: Scenario, out) -> int:
     bound = run.number("oracle_bound", default=1e-3)
     snapshot = run.string("snapshot")
 
-    results = [exc.excitation_amplitude(traj, params, t, cfg, with_phase=False) for t in times]
-    alpha_extent = max((math.sqrt(r.gamma) for r in results), default=0.0) + 1.0
+    prof = exc.excitation_profile(traj, params, times, cfg)
+    gammas = prof.gamma.tolist()
+    alpha_extent = max((math.sqrt(g) for g in gammas), default=0.0) + 1.0
     grid = orc.make_grid(traj, params, points, alpha_extent=alpha_extent, n_max=max_level)
     ax = traj.axes[0]
     state = orc.fock_state(0, float(ax.b(0.0)), float(ax.bdot(0.0)), params, grid)
@@ -403,18 +404,18 @@ def cmd_oracle(scn: Scenario, out) -> int:
     print("t,n,p_analytic,p_grid,abs_dev,gamma,delta_sq", file=out)
     max_dev = 0.0
     delta_vs_gamma = 0.0
-    for t, res in zip(times, results):
+    for t, gamma, delta in zip(times, gammas, prof.delta.tolist()):
         state = orc.propagate(state, traj, params, t, steps)
         grid_probs = orc.measure_transitions(state, traj, params, max_level)
-        delta_sq = abs(exc.fixed_frame_delta(traj, params, t, cfg)) ** 2
-        delta_vs_gamma = max(delta_vs_gamma, abs(delta_sq - res.gamma))
+        delta_sq = abs(delta) ** 2
+        delta_vs_gamma = max(delta_vs_gamma, abs(delta_sq - gamma))
         for n in range(max_level + 1):
-            analytic = trans.transition_probability(0, n, res.gamma)
+            analytic = trans.transition_probability(0, n, gamma)
             dev = abs(analytic - grid_probs[n])
             max_dev = max(max_dev, dev)
             print(
                 f"{_fmt(t)},{n},{_fmt(analytic)},{_fmt(grid_probs[n])},{_fmt(dev)},"
-                f"{_fmt(res.gamma)},{_fmt(delta_sq)}",
+                f"{_fmt(gamma)},{_fmt(delta_sq)}",
                 file=out,
             )
     norm_drift = abs(state.norm() - 1.0)

@@ -36,45 +36,18 @@ import numpy as np
 
 from .model import Axis, OscillatorParams, Trajectory
 from .quadrature import (
-    MAX_TOTAL_INTERVALS,
-    SCHEMES,
     BlockGrid,
+    QuadratureConfig,
     initial_intervals,
     oscillatory_integral,
     piece_bounds,
+    refine,
 )
-from .errors import NumericalError, ResonanceError
+from .errors import ResonanceError
 
 #: Relative detuning below which the sinusoidal/circular closed forms are
 #: treated as singular and the resonance expression must be used instead.
 RESONANCE_DETUNING = 1e-9
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Controls for the oscillatory quadratures.
-
-    ``steps_per_period`` sets the base resolution per oscillation period (or
-    per trajectory feature time, whichever is shorter); grids are then
-    doubled until u is stable to ``tol`` relative to the integrand's L1 size.
-    The composite Filon scheme is worthwhile once omega * t is very large
-    (~1e4 periods) and f varies slowly.
-    """
-
-    steps_per_period: int = 64
-    scheme: str = "adaptive-simpson"
-    tol: float = 1e-8
-    max_doublings: int = 14
-
-    def __post_init__(self):
-        if self.steps_per_period < 16:
-            raise ValueError(f"steps_per_period must be >= 16, got {self.steps_per_period}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -137,12 +110,8 @@ def excitation_amplitude(traj, params: OscillatorParams, t: float,
     pref = _amplitude_prefactor(params)
     omega = params.omega
     if not (with_phase and flags_ok):
-        res = oscillatory_integral(
-            ax.bddot, 0.0, t, -omega,
-            steps_per_period=cfg.steps_per_period, feature_time=ax.feature_time,
-            tol=cfg.tol, scheme=cfg.scheme, max_doublings=cfg.max_doublings,
-            breakpoints=ax.breakpoints,
-        )
+        res = oscillatory_integral(ax.bddot, 0.0, t, -omega, cfg,
+                                   feature_time=ax.feature_time, breakpoints=ax.breakpoints)
         u = pref * res.value
         return ExcitationResult(u, u.real ** 2 + u.imag ** 2, None, t)
 
@@ -160,12 +129,8 @@ def fixed_frame_delta(traj, params: OscillatorParams, t: float,
         return 0.0 + 0.0j
     omega = params.omega
     pref = _delta_prefactor(params)
-    res = oscillatory_integral(
-        ax.b, 0.0, t, +omega,
-        steps_per_period=cfg.steps_per_period, feature_time=ax.feature_time,
-        tol=cfg.tol, scheme=cfg.scheme, max_doublings=cfg.max_doublings,
-        breakpoints=ax.breakpoints,
-    )
+    res = oscillatory_integral(ax.b, 0.0, t, +omega, cfg,
+                               feature_time=ax.feature_time, breakpoints=ax.breakpoints)
     return pref * res.value
 
 
@@ -312,31 +277,12 @@ def excitation_profile(traj, params: OscillatorParams, times,
     if n and instants[-1] > 0.0:
         segments = _profile_segments(ax, params.omega, instants, cfg.steps_per_period)
         cuts = set(p for p in ax.breakpoints if 0.0 < p < instants[-1])
-        prev = None
-        changes = (math.inf,) * 3
-        for level in range(cfg.max_doublings + 1):
-            n_intervals = sum(m for _, _, m, _ in segments) << level
-            if n_intervals > MAX_TOTAL_INTERVALS:
-                raise NumericalError(
-                    f"refinement level {level} would need more than "
-                    f"{MAX_TOTAL_INTERVALS} quadrature intervals"
-                )
-            values, scales = _profile_level(ax, params, segments, cuts, level,
-                                            cfg.scheme == "composite-filon", with_phase, n)
-            if prev is not None:
-                diffs = [np.abs(v - p) for v, p in zip(values, prev)]
-                changes = tuple(float(np.max(d)) for d in diffs)
-                if all(np.all(d <= cfg.tol * s) for d, s in zip(diffs, scales)):
-                    break
-            prev = values
-        else:
-            raise NumericalError(
-                f"excitation quadrature did not stabilize after {cfg.max_doublings} "
-                f"doublings (last changes: u-kernel {changes[0]:.3e}, phi {changes[1]:.3e}, "
-                f"delta-kernel {changes[2]:.3e})",
-                residual=max(changes),
-            )
-        raw, phi, d_raw = values
+        filon = cfg.scheme == "composite-filon"
+        intervals = sum(m for _, _, m, _ in segments)
+        level, (raw, phi, d_raw), _, _ = refine(
+            lambda level: _profile_level(ax, params, segments, cuts, level, filon, with_phase, n),
+            cfg, "excitation quadrature", intervals)
+        n_intervals = intervals << level
     u = _amplitude_prefactor(params) * raw[where]
     return ExcitationProfile(
         t=t_req,

@@ -21,9 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ResourceError, TruncationWarning
-from .excitation import QuadratureConfig, _resolve_axis
+from .excitation import _check_time, _delta_prefactor, _resolve_axis
 from .model import OscillatorParams, Trajectory
-from .quadrature import cumulative_simpson, initial_intervals
+from .quadrature import (
+    QuadratureConfig,
+    composite_simpson,
+    cumulative_simpson,
+    initial_intervals,
+    oscillatory_integral,
+    refine,
+)
 
 #: Fock projections above this level are refused rather than risk silent
 #: Hermite-recurrence degradation on coarse grids.
@@ -151,30 +158,32 @@ def fock_state(n: int, center: float, boost_velocity: float,
 
 
 def _delta_profile(ax, params: OscillatorParams, t: float, cfg: QuadratureConfig):
-    """delta(tau) on a refinement-converged grid, plus the two phase integrals
-    of the driven coherent state (omega * integral delta^2 e^{-2 i omega tau}
-    and integral f^2 / (2 M omega^2 hbar))."""
+    """delta(t) plus the two phase integrals of the driven coherent state
+    (omega * integral delta^2 e^{-2 i omega tau} and integral
+    f^2 / (2 M omega^2 hbar)), each converged to ``cfg.tol`` times its own
+    L1 scale by :func:`refine` on a uniform grid over [0, t]."""
     omega = params.omega
-    pref = -1j * params.mass * omega ** 2 / math.sqrt(2.0 * params.mass * params.hbar * omega)
-    n = initial_intervals(t, omega, ax.feature_time, cfg.steps_per_period)
-    prev = None
-    for _ in range(cfg.max_doublings + 1):
+    pref = _delta_prefactor(params)
+    theta2_pref = params.mass * omega ** 2 / (2.0 * params.hbar)  # f = M omega^2 b
+    n0 = initial_intervals(t, omega, ax.feature_time, cfg.steps_per_period)
+
+    def evaluate(level):
+        n = n0 << level
         ts = np.linspace(0.0, t, n + 1)
         dx = t / n
         pos = np.asarray(ax.b(ts), dtype=float)
         delta_tau = pref * cumulative_simpson(pos * np.exp(1j * omega * ts), dx)
-        theta1 = omega * complex(cumulative_simpson(delta_tau ** 2 * np.exp(-2j * omega * ts), dx)[-1])
-        f2 = (params.mass * omega ** 2 * pos) ** 2
-        theta2 = float(cumulative_simpson(f2, dx)[-1]) / (2.0 * params.mass * omega ** 2 * params.hbar)
-        triple = (complex(delta_tau[-1]), theta1, theta2)
-        if prev is not None:
-            err = max(abs(a - b) for a, b in zip(triple, prev))
-            scale = max(abs(v) for v in triple)
-            if err <= cfg.tol * max(scale, 1.0):
-                return triple
-        prev = triple
-        n *= 2
-    raise NumericalError("driven coherent-state phase integrals did not converge")
+        delta_sq = delta_tau ** 2
+        pos_sq = pos ** 2
+        values = (complex(delta_tau[-1]),
+                  omega * complex(composite_simpson(delta_sq * np.exp(-2j * omega * ts), dx)),
+                  theta2_pref * float(composite_simpson(pos_sq, dx)))
+        scales = (abs(pref) * float(np.trapezoid(np.abs(pos), dx=dx)),
+                  omega * float(np.trapezoid(np.abs(delta_sq), dx=dx)),
+                  theta2_pref * float(np.trapezoid(pos_sq, dx=dx)))
+        return values, scales
+
+    return refine(evaluate, cfg, "driven coherent-state phase integrals", n0)[1]
 
 
 def coherent_state(alpha: complex, params: OscillatorParams, grid: Grid,
@@ -192,10 +201,9 @@ def coherent_state(alpha: complex, params: OscillatorParams, grid: Grid,
     omega = params.omega
     hbar = params.hbar
     mass = params.mass
-    if traj is not None and t > 0.0:
-        ax, duration = _resolve_axis(traj, axis)
-        if t > duration * (1.0 + 1e-12):
-            raise ValueError(f"time {t!r} exceeds trajectory duration {duration!r}")
+    ax, duration = _resolve_axis(traj, axis) if traj is not None else (None, None)
+    _check_time(t, duration)
+    if ax is not None and t > 0.0:
         delta, theta1, theta2 = _delta_profile(ax, params, t, cfg or QuadratureConfig())
     else:
         delta, theta1, theta2 = 0.0 + 0.0j, 0.0 + 0.0j, 0.0
@@ -229,21 +237,15 @@ def moving_frame_coherent_state(beta: complex, params: OscillatorParams, grid: G
     """
     beta = complex(beta)
     ax, duration = _resolve_axis(traj, axis)
-    if t > duration * (1.0 + 1e-12):
-        raise ValueError(f"time {t!r} exceeds trajectory duration {duration!r}")
+    _check_time(t, duration)
     omega = params.omega
     hbar = params.hbar
     mass = params.mass
     b = float(ax.b(t))
     bdot = float(ax.bdot(t))
-    cfg = cfg or QuadratureConfig()
-    if t > 0.0:
-        n = initial_intervals(t, omega, ax.feature_time, cfg.steps_per_period)
-        ts = np.linspace(0.0, t, n + 1)
-        vel2 = np.asarray(ax.bdot(ts), dtype=float) ** 2
-        kin = float(cumulative_simpson(vel2, t / n)[-1]) * mass / (2.0 * hbar)
-    else:
-        kin = 0.0
+    vel2 = oscillatory_integral(lambda tau: np.asarray(ax.bdot(tau), dtype=float) ** 2, 0.0, t, 0.0,
+                                cfg, feature_time=ax.feature_time, breakpoints=ax.breakpoints)
+    kin = vel2.value.real * mass / (2.0 * hbar)
     x = grid.x
     phase_t = complex(math.cos(omega * t), -math.sin(omega * t))
     exponent = (

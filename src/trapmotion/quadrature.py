@@ -32,6 +32,33 @@ SCHEMES = ("adaptive-simpson", "composite-filon")
 MAX_TOTAL_INTERVALS = 1 << 25
 
 
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """Controls for the oscillatory quadratures.
+
+    ``steps_per_period`` sets the base resolution per oscillation period (or
+    per trajectory feature time, whichever is shorter); grids are then
+    doubled by :func:`refine` until every value is stable to ``tol`` relative
+    to its integrand's L1 size. The composite Filon scheme is worthwhile once
+    omega * t is very large (~1e4 periods) and f varies slowly.
+    """
+
+    steps_per_period: int = 64
+    scheme: str = "adaptive-simpson"
+    tol: float = 1e-8
+    max_doublings: int = 14
+
+    def __post_init__(self):
+        if self.steps_per_period < 16:
+            raise ValueError(f"steps_per_period must be >= 16, got {self.steps_per_period}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        if not (self.tol > 0.0):
+            raise ValueError("tol must be positive")
+        if self.max_doublings < 1:
+            raise ValueError("max_doublings must be >= 1")
+
+
 def composite_simpson(y: np.ndarray, dx: float):
     """Composite Simpson rule over a uniform grid with an even interval count."""
     n = len(y) - 1
@@ -135,39 +162,30 @@ def piece_bounds(a: float, b: float, breakpoints=()) -> list[tuple[float, float]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def piece_grids(a: float, b: float, omega: float, feature_time: float | None,
-                steps_per_period: int, level: int, breakpoints=()):
+def piece_grids(pieces, level: int):
     """Per-piece (nodes, sample_times) grids for refinement ``level``.
 
-    Interval counts double with ``level``. Grid nodes land exactly on the
-    breakpoints; the sample times are identical except that endpoints sitting
-    on a breakpoint are inset into the piece by a 1e-9 fraction of the local
-    step, so a discontinuous integrand is only ever sampled one-sidedly. The
-    integrand is smooth within each piece, restoring clean Simpson/Filon
-    convergence.
+    ``pieces`` lists consecutive ``(lo, hi, intervals at level 0)``, split at
+    the breakpoints; interval counts double with ``level``. Grid nodes land
+    exactly on the breakpoints; the sample times are identical except that
+    endpoints sitting on a breakpoint are inset into the piece by a 1e-9
+    fraction of the local step, so a discontinuous integrand is only ever
+    sampled one-sidedly. The integrand is smooth within each piece, restoring
+    clean Simpson/Filon convergence.
     """
-    cuts = set(p for p in breakpoints if a < p < b)
     grids = []
-    total = 0
-    for lo, hi in piece_bounds(a, b, breakpoints):
-        n = initial_intervals(hi - lo, omega, feature_time, steps_per_period) << level
-        total += n
-        if total > MAX_TOTAL_INTERVALS:
-            raise NumericalError(
-                f"refinement level {level} would need more than "
-                f"{MAX_TOTAL_INTERVALS} quadrature intervals"
-            )
-        ts = np.linspace(lo, hi, n + 1)
-        if cuts:
+    last = len(pieces) - 1
+    for k, (lo, hi, n0) in enumerate(pieces):
+        n = n0 << level
+        ts = te = np.linspace(lo, hi, n + 1)
+        if last:
             inset = 1e-9 * (hi - lo) / n
             te = ts.copy()
-            if lo in cuts:
+            if k > 0:
                 te[0] = lo + inset
-            if hi in cuts:
+            if k < last:
                 te[-1] = hi - inset
-            grids.append((ts, te))
-        else:
-            grids.append((ts, ts))
+        grids.append((ts, te))
     return grids
 
 
@@ -290,53 +308,80 @@ class BlockGrid:
         return step
 
 
-def oscillatory_integral(f, a: float, b: float, omega: float, *,
-                         steps_per_period: int = 64,
+def refine(evaluate, cfg: QuadratureConfig, what: str, intervals: int):
+    """Evaluate refinement levels 0, 1, ... until one agrees with the last.
+
+    ``evaluate(level)`` returns ``(values, scales)``, two matching sequences
+    of numbers or arrays computed on a grid of ``intervals << level``
+    intervals. The first level at which every value (every element, for
+    arrays) changed by at most ``cfg.tol`` times its own scale is accepted;
+    the result is ``(level, values, scales, change)`` with ``change`` the
+    largest last change. A level needing more than
+    :data:`MAX_TOTAL_INTERVALS` intervals is never evaluated, and no
+    acceptance within ``cfg.max_doublings`` doublings raises
+    :class:`NumericalError` with the largest last change as ``residual``.
+    """
+    prev = changes = None
+    for level in range(cfg.max_doublings + 1):
+        if intervals << level > MAX_TOTAL_INTERVALS:
+            raise NumericalError(
+                f"refinement level {level} would need more than "
+                f"{MAX_TOTAL_INTERVALS} quadrature intervals"
+            )
+        values, scales = evaluate(level)
+        if prev is not None:
+            # plain Python on scalars: gamma-only calls sit in optimizer loops
+            changes = [abs(v - p) for v, p in zip(values, prev)]
+            if all((d <= cfg.tol * s).all() if isinstance(d, np.ndarray) else d <= cfg.tol * s
+                   for d, s in zip(changes, scales)):
+                return level, values, scales, _largest(changes)
+        prev = values
+    residual = _largest(changes)
+    raise NumericalError(
+        f"{what} did not stabilize after {cfg.max_doublings} grid doublings "
+        f"(last change {residual:.3e})",
+        residual=residual,
+    )
+
+
+def _largest(changes) -> float:
+    return max(float(d.max()) if isinstance(d, np.ndarray) else float(d) for d in changes)
+
+
+def oscillatory_integral(f, a: float, b: float, omega: float,
+                         cfg: QuadratureConfig | None = None, *,
                          feature_time: float | None = None,
-                         tol: float = 1e-8,
-                         scheme: str = "adaptive-simpson",
-                         max_doublings: int = 14,
                          breakpoints=()) -> OscillatoryResult:
     """Integrate f(t) e^{i omega t} over [a, b] to a scale-relative tolerance.
 
-    The grid is doubled until successive values agree within ``tol`` times
-    the L1 norm of f; failure to converge raises :class:`NumericalError`
-    carrying the last observed difference as the residual estimate. Known
-    discontinuity locations of f can be passed as ``breakpoints``; the
-    integral is then assembled piecewise so the jumps never sit inside a
-    Simpson panel.
+    The grid is doubled by :func:`refine` until successive values agree
+    within ``cfg.tol`` times the L1 norm of f. Known discontinuity locations
+    of f can be passed as ``breakpoints``; the integral is then assembled
+    piecewise so the jumps never sit inside a Simpson panel.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    cfg = cfg or QuadratureConfig()
     span = b - a
     if span == 0.0:
         return OscillatoryResult(0.0 + 0.0j, 0, 0.0, 0.0)
     if span < 0.0:
         raise ValueError(f"integration bounds must be ordered, got [{a!r}, {b!r}]")
-    prev = None
-    diff = math.inf
-    scale = 0.0
-    for level in range(max_doublings + 1):
+    filon = cfg.scheme == "composite-filon"
+    pieces = [(lo, hi, initial_intervals(hi - lo, omega, feature_time, cfg.steps_per_period))
+              for lo, hi in piece_bounds(a, b, breakpoints)]
+
+    def evaluate(level):
         value = 0.0 + 0.0j
         scale = 0.0
-        n_total = 0
-        for ts, te in piece_grids(a, b, omega, feature_time, steps_per_period,
-                                  level, breakpoints):
+        for ts, te in piece_grids(pieces, level):
             fv = np.asarray(f(te), dtype=float)
             dx = ts[1] - ts[0]
             scale += float(np.trapezoid(np.abs(fv), dx=dx))
-            if scheme == "composite-filon":
+            if filon:
                 value += filon_exponential(fv, ts, omega)
             else:
                 value += complex(composite_simpson(fv * np.exp(1j * omega * te), dx))
-            n_total += len(ts) - 1
-        if prev is not None:
-            diff = abs(value - prev)
-            if diff <= tol * scale:
-                return OscillatoryResult(value, n_total, diff / 15.0, scale)
-        prev = value
-    raise NumericalError(
-        f"oscillatory quadrature did not stabilize after {max_doublings} grid "
-        f"doublings (last change {diff:.3e}, scale {scale:.3e})",
-        residual=diff,
-    )
+        return (value,), (scale,)
+
+    n0 = sum(n for _, _, n in pieces)
+    level, (value,), (scale,), change = refine(evaluate, cfg, "oscillatory quadrature", n0)
+    return OscillatoryResult(value, n0 << level, change / 15.0, scale)

@@ -270,6 +270,34 @@ def test_oracle_mismatch_exit_code(tmp_path, capsys):
     assert "oracle mismatch" in err
 
 
+def test_oracle_takes_gamma_and_delta_from_one_profile(tmp_path, capsys, monkeypatch):
+    import trapmotion.cli as cli_mod
+    from trapmotion import closed_form_constant_accel, excitation_profile
+    from trapmotion.model import OscillatorParams
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return excitation_profile(*args, **kwargs)
+
+    def per_instant(*args, **kwargs):
+        raise AssertionError("oracle integrates each instant separately")
+
+    monkeypatch.setattr(cli_mod.exc, "excitation_profile", counted)
+    monkeypatch.setattr(cli_mod.exc, "excitation_amplitude", per_instant)
+    monkeypatch.setattr(cli_mod.exc, "fixed_frame_delta", per_instant)
+    extra = "times = 1.5, 3.141592653589793"
+    cfg = write_config(tmp_path, ORACLE_BASE.format(a=1.0, extra="").replace(
+        "times = 3.141592653589793", extra))
+    code, out, _ = run_cli(capsys, "oracle", "--config", cfg)
+    assert code == 0
+    assert calls == [[1.5, math.pi]]
+    _, data = rows(out)
+    want = closed_form_constant_accel(1.0, OscillatorParams.dimensionless(), math.pi)
+    assert float(data[-1][5]) == pytest.approx(want, rel=1e-7)
+
+
 def test_oracle_requires_oracle_flag(tmp_path, capsys):
     cfg = write_config(tmp_path, ORACLE_BASE.format(a=1.0, extra="").replace("oracle = on", ""))
     code, _, err = run_cli(capsys, "oracle", "--config", cfg)

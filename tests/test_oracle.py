@@ -1,13 +1,20 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial
 
 from trapmotion import (
+    Axis,
     Grid,
+    NumericalError,
+    QuadratureConfig,
     ResourceError,
+    Trajectory,
     TruncationWarning,
     coherent_state,
+    fixed_frame_delta,
     fock_state,
     load_snapshot,
     make_constant_acceleration,
@@ -21,6 +28,7 @@ from trapmotion import (
     save_snapshot,
     transition_probability,
 )
+from trapmotion.oracle import _delta_profile
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,6 +127,61 @@ def test_moving_frame_vacuum_overlap(params):
     assert moving.norm() == pytest.approx(1.0, abs=1e-8)
     got = abs(overlap(fixed, moving)) ** 2
     assert got == pytest.approx(math.exp(-2.125), rel=1e-8)
+
+
+def test_moving_frame_kinetic_phase_across_a_stop(params):
+    # <ground state at b, b'| moving-frame vacuum> = exp(-i t / 2 - i (M / 2 hbar) int b'^2);
+    # the ramps are shorter than a period-resolving step, so the phase needs the
+    # breakpoint pieces and a convergence check
+    T_a, stop, t = 0.01 * TWO_PI, 2.6 * math.pi, 3.7 * math.pi
+    traj = make_kick(1.0, T_a, 4.0 * math.pi, stop_at=stop)
+    ax = traj.axes[0]
+    smoothstep = [0, 0, 0, 10, -15, 6]
+    ramp = polynomial.polyval(1.0, polynomial.polyint(polynomial.polymul(smoothstep, smoothstep)))
+    exact = 0.5 * ((stop - T_a) + 2.0 * T_a * ramp)   # each ramp adds T_a * int sigma^2
+    grid = Grid(-10.0, 25.0, 4096)
+    moving = moving_frame_coherent_state(0.0, params, grid, t, traj)
+    ref = fock_state(0, float(ax.b(t)), float(ax.bdot(t)), params, grid)
+    kin = -cmath.phase(overlap(ref, moving)) - 0.5 * t
+    assert abs((kin - exact + math.pi) % TWO_PI - math.pi) < 1e-8
+
+
+def test_driven_state_phases_converge_relative_to_the_drive(params):
+    # delta is linear in b: a tiny drive must converge as tightly as a unit one
+    v = 1e-4
+    traj = make_kick(v, 0.05, 10.0)
+    delta = _delta_profile(traj.axes[0], params, 9.0, QuadratureConfig())[0] / v
+    ref = fixed_frame_delta(make_kick(1.0, 0.05, 10.0), params, 9.0, QuadratureConfig(tol=1e-13))
+    assert abs(delta - ref) <= 1e-7 * abs(ref)
+
+
+def test_driven_state_non_convergence_reports_residual(params):
+    # a jump in b the quadrature is not told about defeats grid doubling
+    hidden_jump = Axis(
+        b=lambda t: np.where(np.asarray(t, dtype=float) < 0.777, 0.0, 1.0),
+        bdot=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        bddot=lambda t: np.where(np.asarray(t, dtype=float) < 0.777, 1.0, -1.0),
+        starts_at_zero=True,
+        starts_at_rest=True,
+    )
+    traj = Trajectory((hidden_jump,), 3.0)
+    cfg = QuadratureConfig(max_doublings=4, tol=1e-12)
+    with pytest.raises(NumericalError) as info:
+        coherent_state(0.0, params, _static_grid(), 2.0, traj, cfg)
+    assert info.value.residual is not None
+    assert info.value.residual > 0.0
+
+
+@pytest.mark.parametrize("t", [float("nan"), -1.0, float("inf")])
+def test_analytic_states_reject_bad_times(params, t):
+    grid = _static_grid()
+    traj = make_kick(0.5, 0.5, 10.0)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        coherent_state(0.5, params, grid, t)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        coherent_state(0.5, params, grid, t, traj)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        moving_frame_coherent_state(0.5, params, grid, t, traj)
 
 
 # --- propagation -------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import trapmotion.excitation as exc
+import trapmotion.quadrature as quadrature
 from trapmotion import (
     Axis,
     NumericalError,
@@ -190,7 +191,7 @@ def test_non_convergence_raises_with_residual(params):
 
 
 def test_interval_cap_raises(params, monkeypatch):
-    monkeypatch.setattr(exc, "MAX_TOTAL_INTERVALS", 1000)
+    monkeypatch.setattr(quadrature, "MAX_TOTAL_INTERVALS", 1000)
     with pytest.raises(NumericalError, match="quadrature intervals"):
         excitation_profile(make_sinusoidal(0.5, 0.7, 200.0), params, [150.0, 190.0])
 

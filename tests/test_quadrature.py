@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import trapmotion.quadrature as quadrature
 from trapmotion.errors import NumericalError
 from trapmotion.quadrature import (
     BlockGrid,
+    QuadratureConfig,
     composite_simpson,
     cumulative_simpson,
     filon_exponential,
     oscillatory_integral,
     piece_bounds,
+    refine,
 )
 
 
@@ -98,7 +101,8 @@ def test_filon_small_theta_series_consistent_with_closed_form():
 
 
 def test_oscillatory_integral_converges_to_analytic_value():
-    res = oscillatory_integral(lambda t: np.ones_like(t), 0.0, 5.0, -3.0, tol=1e-10)
+    res = oscillatory_integral(lambda t: np.ones_like(t), 0.0, 5.0, -3.0,
+                               QuadratureConfig(tol=1e-10))
     want = (np.exp(-15j) - 1.0) / (-3j)
     assert res.value == pytest.approx(want, abs=1e-10)
     assert res.n_intervals >= 32
@@ -116,13 +120,15 @@ def test_oscillatory_integral_validates_inputs():
     with pytest.raises(ValueError):
         oscillatory_integral(lambda t: t, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        oscillatory_integral(lambda t: t, 0.0, 1.0, 1.0, scheme="gauss")
+        oscillatory_integral(lambda t: t, 0.0, 1.0, 1.0, QuadratureConfig(scheme="gauss"))
 
 
 def test_oscillatory_integral_filon_matches_simpson():
     f = lambda t: np.cos(0.3 * t) * (1 + 0.1 * t)  # noqa: E731
-    a = oscillatory_integral(f, 0.0, 20.0, -6.0, scheme="adaptive-simpson", tol=1e-10)
-    b = oscillatory_integral(f, 0.0, 20.0, -6.0, scheme="composite-filon", tol=1e-10)
+    a = oscillatory_integral(f, 0.0, 20.0, -6.0,
+                             QuadratureConfig(scheme="adaptive-simpson", tol=1e-10))
+    b = oscillatory_integral(f, 0.0, 20.0, -6.0,
+                             QuadratureConfig(scheme="composite-filon", tol=1e-10))
     assert a.value == pytest.approx(b.value, abs=1e-8)
 
 
@@ -135,13 +141,45 @@ def test_discontinuous_integrand_needs_breakpoints():
         return np.where(t == t0, 0.0, out)  # mean of one-sided limits
 
     with pytest.raises(NumericalError) as info:
-        oscillatory_integral(step, 0.0, 2.0, -5.0, max_doublings=6)
+        oscillatory_integral(step, 0.0, 2.0, -5.0, QuadratureConfig(max_doublings=6))
     assert info.value.residual is not None
 
     res = oscillatory_integral(step, 0.0, 2.0, -5.0, breakpoints=(t0,))
     piece = lambda a, b: (np.exp(-5j * b) - np.exp(-5j * a)) / (-5j)  # noqa: E731
     want = piece(0.0, t0) - piece(t0, 2.0)
     assert res.value == pytest.approx(want, abs=1e-9)
+
+
+def test_refine_accepts_first_level_within_each_scale():
+    # level L carries an error 2^-L on the scalar and 4^-L on each array element
+    calls = []
+
+    def evaluate(level):
+        calls.append(level)
+        values = (1.0 + 2.0 ** -level, np.array([3.0, 5.0]) + 4.0 ** -level)
+        return values, (1.0, np.array([1.0, 100.0]))
+
+    level, values, scales, change = refine(evaluate, QuadratureConfig(tol=0.1), "test", 32)
+    assert (level, change) == (4, 2.0 ** -4)   # the scalar decides: 2^-4 <= 0.1 < 2^-3
+    assert calls == [0, 1, 2, 3, 4]
+    assert values[0] == 1.0 + 2.0 ** -4
+    np.testing.assert_array_equal(values[1], [3.0 + 4.0 ** -4, 5.0 + 4.0 ** -4])
+    assert scales[0] == 1.0
+
+
+def test_refine_reports_residual_and_caps_intervals(monkeypatch):
+    def evaluate(level):
+        return (np.array([0.0, float(level)]),), (np.ones(2),)
+
+    with pytest.raises(NumericalError, match="toy sum did not stabilize") as info:
+        refine(evaluate, QuadratureConfig(max_doublings=3), "toy sum", 32)
+    assert info.value.residual == 1.0
+
+    monkeypatch.setattr(quadrature, "MAX_TOTAL_INTERVALS", 100)
+    seen = []
+    with pytest.raises(NumericalError, match="level 2 would need more than 100"):
+        refine(lambda level: seen.append(level) or evaluate(level), QuadratureConfig(), "toy", 32)
+    assert seen == [0, 1]
 
 
 def test_piece_bounds_filters_interior_points():
