@@ -6,7 +6,7 @@ Subcommands::
     trapmotion probs     --config FILE [--out FILE]          transition tables
     trapmotion oracle    --config FILE [--out FILE]          analytic vs grid propagation
     trapmotion sweep     --config FILE [--out FILE]          closed-form parameter sweeps
-    trapmotion transport --config FILE [--out FILE] [--seed] optimized transport trajectory
+    trapmotion transport --config FILE [--out FILE]          heating-free transport
 
 Configs are flat ``key = value`` text with ``[section]`` headers; unknown keys
 are rejected with the offending line number. ``--config demo:NAME`` loads one
@@ -245,14 +245,12 @@ def build_trajectory(scn: Scenario, params: OscillatorParams,
                 raise ConfigError("kick needs v, T_a, and T")
             return make_kick(v, T_a, T, stop_at=num("stop_at"))
         if family == "sinusoidal":
-            R, Omega = num("R"), num("Omega")
+            R, Omega, T, s = num("R"), num("Omega"), num("T"), num("s")
             if R is None or Omega is None:
                 raise ConfigError("sinusoidal needs R and Omega")
-            T = num("T")
+            if (T is None) == (s is None):
+                raise ConfigError("sinusoidal needs exactly one of T and s")
             if T is None:
-                s = num("s")
-                if s is None:
-                    raise ConfigError("sinusoidal needs T or s")
                 T = 2.0 * math.pi * s / Omega
             return make_sinusoidal(R, Omega, T)
         if family == "circular":
@@ -452,10 +450,7 @@ def _sweep_value(scn: Scenario, params: OscillatorParams, cfg,
             if abs(Omega - params.omega) < exc.RESONANCE_DETUNING * params.omega:
                 return "gamma", exc.closed_form_sinusoidal_resonance(R, params, s)
             return "gamma", exc.closed_form_sinusoidal(R, Omega, params, 2.0 * math.pi * s / Omega)
-        T = num("T")
-        if T is None:
-            raise ConfigError("sinusoidal sweep needs s or T")
-        return "gamma", exc.closed_form_sinusoidal(R, Omega, params, T)
+        return "gamma", exc.closed_form_sinusoidal(R, Omega, params, num("T"))
     if family == "circular":
         return "w_s", exc.closed_form_circular(num("R"), num("Omega"), params, num("s"))
     # polynomial: no closed form; quadrature at the end of the run
@@ -474,8 +469,10 @@ def cmd_sweep(scn: Scenario, out) -> int:
     if values is None:
         raise ConfigError("[sweep] needs values")
     cfg = build_quadrature(scn)
-    # validate the base trajectory section once so typos fail fast
+    # validate once so typos fail fast; this resolves the keys the family reads
     build_trajectory(scn, params)
+    if parameter != "omega" and parameter not in scn.section("trajectory").resolved:
+        raise ConfigError(f"[sweep] {parameter} is not set in [trajectory] or unused by its family")
 
     label = None
     rows = []
@@ -498,7 +495,7 @@ def cmd_sweep(scn: Scenario, out) -> int:
     return 0
 
 
-def cmd_transport(scn: Scenario, out, seed: int) -> int:
+def cmd_transport(scn: Scenario, out) -> int:
     params = build_params(scn)
     sec = scn.section("transport", required=True)
     displacement = sec.number("displacement")
@@ -520,7 +517,7 @@ def cmd_transport(scn: Scenario, out, seed: int) -> int:
         problem = tp.TransportProblem(displacement, duration, params, family)
         budget = sec.integer("budget", default=2000)
         threshold = sec.number("threshold", default=tp.DEFAULT_THRESHOLD)
-        solution = tp.optimize(problem, budget=budget, threshold=threshold, rng_seed=seed)
+        solution = tp.optimize(problem, budget=budget, threshold=threshold)
     except ValueError as err:
         raise ConfigError(f"[transport]: {err}") from err
 
@@ -574,7 +571,7 @@ def main(argv=None) -> int:
                          help="scenario file, or demo:NAME for a bundled scenario")
         cmd.add_argument("--out", default=None, help="output CSV path (default stdout)")
         cmd.add_argument("--seed", type=int, default=0,
-                         help="seed for optimizer restarts (transport only)")
+                         help="accepted for old command lines; has no effect")
     args = parser.parse_args(argv)
 
     try:
@@ -590,7 +587,7 @@ def main(argv=None) -> int:
             elif args.command == "sweep":
                 code = cmd_sweep(scn, sink)
             else:
-                code = cmd_transport(scn, sink, args.seed)
+                code = cmd_transport(scn, sink)
         finally:
             if args.out:
                 sink.close()

@@ -40,7 +40,8 @@ def laguerre_assoc(n: int, alpha: int, x: float) -> float:
     """Associated Laguerre polynomial L_n^{(alpha)}(x) for integer n, alpha >= 0.
 
     Uses the stable three-term recurrence
-    L_k = [(2k - 1 + alpha - x) L_{k-1} - (k - 1 + alpha) L_{k-2}] / k.
+    L_k = [(2k - 1 + alpha - x) L_{k-1} - (k - 1 + alpha) L_{k-2}] / k,
+    and raises NumericalError when it leaves the float range.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 0):
         raise ValueError(f"degree must be a non-negative integer, got {n!r}")
@@ -54,6 +55,9 @@ def laguerre_assoc(n: int, alpha: int, x: float) -> float:
     curr = 1.0 + alpha - x
     for k in range(2, n + 1):
         prev, curr = curr, ((2.0 * k - 1.0 + alpha - x) * curr - (k - 1.0 + alpha) * prev) / k
+    # once a term overflows the rest are inf or NaN, so checking the last suffices
+    if not math.isfinite(curr):
+        raise NumericalError(f"L_{n}^({alpha})({x!r}) overflows a float")
     return curr
 
 

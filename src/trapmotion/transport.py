@@ -8,14 +8,15 @@ Fourier component of b'' at the trap frequency over [0, T] is zero.
 Trajectory families handle the four boundary conditions
 b(0) = b'(0) = 0, b(T) = d, b'(T) = 0 by exact elimination: the conditions
 fix a subset of the family coefficients and the remaining ones are free
-optimization parameters, so every candidate is exactly feasible. The search
-is a deterministic Nelder-Mead simplex (the objective is cheap and smooth;
-gradients through the quadrature are not worth the machinery at this scale)
-with a few restarts from perturbed seeds on stagnation.
+parameters, so every candidate is exactly feasible. In both families b'' is
+linear in the free parameters, so u(T) is affine in them, and ``optimize``
+zeroes it with one linear least-squares solve (Re u and Im u give two real
+equations in n_free unknowns) instead of a search.
 
-The implementation is deliberately scale-equivariant: doubling d doubles
-every trajectory and every simplex vertex exactly, so optimized residuals
-scale by exactly 4. This is what makes the quadratic-scaling check sharp.
+The implementation is deliberately scale-equivariant: doubling d and the
+seed doubles every trajectory and every measured column of the affine map
+exactly, so optimized residuals scale by exactly 4. This is what makes the
+quadratic-scaling check sharp.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .excitation import QuadratureConfig, excitation_amplitude
+from .excitation import ExcitationResult, QuadratureConfig, excitation_amplitude
 from .model import Axis, OscillatorParams, Trajectory
 
 #: Residual gamma below which a solution counts as converged (mean phonon
@@ -218,10 +219,13 @@ class TransportSolution:
 def objective(problem: TransportProblem, free_params,
               cfg: QuadratureConfig | None = None) -> float:
     """Residual excitation gamma(T) of the constrained trajectory."""
+    return _excitation(problem, free_params, cfg).gamma
+
+
+def _excitation(problem: TransportProblem, free_params,
+                cfg: QuadratureConfig | None) -> ExcitationResult:
     traj = problem.family.build(problem, free_params)
-    result = excitation_amplitude(traj, problem.params, problem.duration,
-                                  cfg, with_phase=False)
-    return result.gamma
+    return excitation_amplitude(traj, problem.params, problem.duration, cfg, with_phase=False)
 
 
 def verify_boundaries(traj: Trajectory, problem: TransportProblem,
@@ -245,108 +249,23 @@ def verify_boundaries(traj: Trajectory, problem: TransportProblem,
             )
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _ThresholdReached(Exception):
-    pass
-
-
-class _CountedObjective:
-    def __init__(self, problem, cfg, budget, threshold):
-        self.problem = problem
-        self.cfg = cfg
-        self.budget = budget
-        self.threshold = threshold
-        self.count = 0
-        self.best_f = math.inf
-        self.best_x = None
-
-    def __call__(self, x) -> float:
-        if self.count >= self.budget:
-            raise _BudgetExhausted
-        self.count += 1
-        f = objective(self.problem, x, self.cfg)
-        if f < self.best_f:
-            self.best_f = f
-            self.best_x = np.array(x, dtype=float)
-        if self.best_f < self.threshold:
-            raise _ThresholdReached
-        return f
-
-
-def _nelder_mead(fn, x0, steps, fatol=0.0, xatol=0.0):
-    """Standard Nelder-Mead on fn from x0 with per-coordinate initial steps.
-
-    Runs until the budget inside ``fn`` is exhausted or the simplex collapses
-    below the tolerances. Ties are broken stably, so the walk is
-    deterministic.
-    """
-    n = len(x0)
-    simplex = [np.array(x0, dtype=float)]
-    for i in range(n):
-        vertex = np.array(x0, dtype=float)
-        vertex[i] += steps[i]
-        simplex.append(vertex)
-    fvals = [fn(v) for v in simplex]
-
-    while True:
-        order = sorted(range(n + 1), key=lambda i: (fvals[i], i))
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        if fvals[-1] - fvals[0] <= fatol:
-            break
-        if max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:]) <= xatol:
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        f_r = fn(reflected)
-        if f_r < fvals[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_e = fn(expanded)
-            if f_e < f_r:
-                simplex[-1], fvals[-1] = expanded, f_e
-            else:
-                simplex[-1], fvals[-1] = reflected, f_r
-        elif f_r < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_r
-        else:
-            if f_r < fvals[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-                f_c = fn(contracted)
-                accept = f_c <= f_r
-            else:
-                contracted = centroid + 0.5 * (worst - centroid)
-                f_c = fn(contracted)
-                accept = f_c < fvals[-1]
-            if accept:
-                simplex[-1], fvals[-1] = contracted, f_c
-            else:
-                best = simplex[0]
-                for i in range(1, n + 1):
-                    simplex[i] = best + 0.5 * (simplex[i] - best)
-                    fvals[i] = fn(simplex[i])
-    return simplex[0], fvals[0]
-
-
 def optimize(problem: TransportProblem, seed_params=None, budget: int = 2000, *,
              cfg: QuadratureConfig | None = None,
-             threshold: float = DEFAULT_THRESHOLD,
-             max_restarts: int = 5, rng_seed: int = 0) -> TransportSolution:
+             threshold: float = DEFAULT_THRESHOLD) -> TransportSolution:
     """Minimize the residual excitation over the family's free parameters.
 
-    Deterministic given ``seed_params`` and ``rng_seed``. Runs the simplex
-    search, restarting from multiplicatively perturbed seeds (up to
-    ``max_restarts`` times) while the best residual stays above ``threshold``
-    and budget remains. Exhausting the budget without reaching the threshold
-    is reported through ``converged=False``, not an error. The returned
-    residual is never worse than the seed's.
+    u(T) is affine in the free parameters, so one least-squares step finds
+    the minimum: u is measured at the seed and at the seed moved by
+    ``param_scales[i]`` along each parameter i, and the minimum-norm step to
+    the least |u| is re-checked by quadrature. The better of seed and solution
+    is returned. That costs one quadrature when there is no freedom or the
+    seed is below ``threshold``, else n_free + 2, which ``budget`` must allow.
+    A residual above ``threshold`` gives ``converged=False``, not an error.
     """
-    if budget < 50:
-        raise ValueError(f"budget must be >= 50 evaluations, got {budget}")
     family = problem.family
+    least = max(50, family.n_free + 2)
+    if budget < least:
+        raise ValueError(f"budget must be >= max(50, n_free + 2) = {least}, got {budget}")
     if seed_params is None:
         seed_params = family.seed(problem)
     seed = np.asarray(seed_params, dtype=float)
@@ -355,39 +274,29 @@ def optimize(problem: TransportProblem, seed_params=None, budget: int = 2000, *,
             f"seed has shape {seed.shape}, family expects ({family.n_free},)"
         )
 
-    counted = _CountedObjective(problem, cfg, budget, threshold)
-    scales = family.param_scales(problem)
-    rng = np.random.default_rng(rng_seed)
+    best_x = seed
+    at_seed = _excitation(problem, seed, cfg)
+    residual = at_seed.gamma
+    evaluations = 1
+    if family.n_free and residual >= threshold:
+        # column i: change of u(T) per param_scales[i] along free parameter i
+        scales = family.param_scales(problem)
+        columns = [_excitation(problem, shifted, cfg).u - at_seed.u
+                   for shifted in seed + np.diag(scales)]
+        matrix = np.array([[c.real for c in columns], [c.imag for c in columns]])
+        rhs = np.array([-at_seed.u.real, -at_seed.u.imag])
+        solved = seed + scales * np.linalg.lstsq(matrix, rhs, rcond=None)[0]
+        at_solved = _excitation(problem, solved, cfg)
+        evaluations += family.n_free + 1
+        if at_solved.gamma < residual:
+            best_x, residual = solved, at_solved.gamma
 
-    if family.n_free == 0:
-        # fully constrained: the single feasible trajectory is the answer
-        try:
-            counted(seed)
-        except _ThresholdReached:
-            pass
-        residual = counted.best_f
-    else:
-        start = seed
-        for _ in range(max_restarts + 1):
-            steps = 0.05 * np.maximum(np.abs(start), scales)
-            try:
-                _nelder_mead(counted, start, steps)
-            except (_BudgetExhausted, _ThresholdReached):
-                break
-            if counted.best_f < threshold:
-                break
-            # stagnated above threshold: restart from a perturbed best point
-            factors = 1.0 + 0.25 * rng.standard_normal(family.n_free)
-            start = counted.best_x * factors + 0.05 * scales * rng.standard_normal(family.n_free)
-        residual = counted.best_f
-
-    best_x = counted.best_x if counted.best_x is not None else seed
     trajectory = family.build(problem, best_x)
     verify_boundaries(trajectory, problem)
     return TransportSolution(
         trajectory=trajectory,
         residual=residual,
-        evaluations=counted.count,
+        evaluations=evaluations,
         converged=residual < threshold,
         free_params=np.array(best_x),
     )

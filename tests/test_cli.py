@@ -389,6 +389,55 @@ values = 1,2
     assert code == 2
 
 
+@pytest.mark.parametrize("trajectory, parameter", [
+    ("family = kick\nv = 1.0\nT_a = 0.5\nT = 20.0", "a"),
+    ("family = circular\nR = 0.1\nOmega = 0.01\nT_a = 0.5\ns = 1", "T"),
+    ("family = kick\nv = 1.0\nT_a = 0.5\nT = 20.0\na = 1.0", "a"),
+    ("family = sinusoidal\nR = 0.1\nOmega = 0.5\ns = 3", "T"),
+], ids=["kick-a", "circular-T", "kick-a-set-but-unused", "sinusoidal-T-given-s"])
+def test_sweep_rejects_parameter_the_trajectory_does_not_use(tmp_path, capsys,
+                                                              trajectory, parameter):
+    # the swept value would be ignored and every row would repeat one value
+    cfg = write_config(tmp_path, f"""
+[oscillator]
+dimensionless = on
+
+[trajectory]
+{trajectory}
+
+[sweep]
+parameter = {parameter}
+values = 1,2,3
+""")
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert f"{parameter} is not set in [trajectory] or unused by its family" in err
+
+
+@pytest.mark.parametrize("command", ["excite", "sweep"])
+def test_sinusoidal_rejects_both_T_and_s(tmp_path, capsys, command):
+    # excite used T and sweep used s; neither may pick one silently
+    cfg = write_config(tmp_path, """
+[oscillator]
+dimensionless = on
+
+[trajectory]
+family = sinusoidal
+R = 0.1
+Omega = 0.5
+T = 10
+s = 3
+
+[sweep]
+parameter = R
+values = 0.1
+""")
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert code == 2
+    assert "exactly one of T and s" in err
+
+
 # --- transport ---------------------------------------------------------------------
 
 def test_transport_demo_converges(capsys):
@@ -401,6 +450,15 @@ def test_transport_demo_converges(capsys):
     assert header == ["t", "b", "b_dot", "b_ddot"]
     assert float(data[0][1]) == 0.0
     assert float(data[-1][1]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_transport_seed_is_accepted_and_ignored(capsys):
+    # the solve is exact, so --seed only keeps old command lines working
+    _, plain, _ = run_cli(capsys, "transport", "--config", "demo:transport_3period")
+    code, seeded, _ = run_cli(capsys, "transport", "--config", "demo:transport_3period",
+                              "--seed", "12345")
+    assert code == 0
+    assert seeded == plain
 
 
 def test_transport_zero_displacement(tmp_path, capsys):

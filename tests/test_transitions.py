@@ -325,6 +325,20 @@ def test_row_limit_guard_is_reported_as_numerical_error():
         transition_row(0, 5e6, tail_epsilon=1e-3)
 
 
+@pytest.mark.parametrize("m, n, gamma", [(1000, 2000, 1.0), (200, 200, 1e5)])
+def test_laguerre_overflow_raises_instead_of_nan(m, n, gamma):
+    # L_1000^(1000)(1) and L_200^(0)(1e5) exceed the float range
+    with pytest.raises(NumericalError):
+        transition_probability(m, n, gamma)
+
+
+def test_transition_row_overflow_raises_instead_of_nan_row():
+    # the row's Laguerre factors overflow past n ~ 1100; it used to sum to
+    # NaN and report tail_bound 0
+    with pytest.raises(NumericalError):
+        transition_row(400, 50.0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     xi=st.floats(0.0, 2.0),

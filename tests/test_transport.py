@@ -8,6 +8,7 @@ from trapmotion import (
     PolynomialFamily,
     QuadratureConfig,
     TransportProblem,
+    excitation_amplitude,
     objective,
     optimize,
 )
@@ -125,8 +126,8 @@ def test_optimize_never_worse_than_seed(params):
 
 def test_optimize_is_deterministic(params):
     problem = _poly_problem(params, d=1.0, periods=2.0, degree=6)
-    a = optimize(problem, budget=400, rng_seed=7)
-    b = optimize(problem, budget=400, rng_seed=7)
+    a = optimize(problem, budget=400)
+    b = optimize(problem, budget=400)
     assert a.residual == b.residual
     assert np.array_equal(a.free_params, b.free_params)
 
@@ -140,12 +141,58 @@ def test_optimize_budget_respected_and_nonconvergence_flagged(params):
     assert solution.residual > 1e-8
 
 
+def test_optimize_solves_in_n_free_plus_two_quadratures(params):
+    # u(T) is affine in the free parameters: one least-squares step zeroes it
+    problem = _poly_problem(params, d=1.0, periods=1.3, degree=6)
+    solution = optimize(problem, budget=50, threshold=0.0)
+    assert solution.residual <= 1e-20
+    assert solution.evaluations == problem.family.n_free + 2
+    assert not solution.converged  # nothing is below a zero threshold
+    verify_boundaries(solution.trajectory, problem)
+
+
+def test_one_free_parameter_solve_is_the_global_minimum(params):
+    # half a period, one free coefficient: |u0 + x a|^2 has a nonzero minimum
+    problem = _poly_problem(params, d=1.0, periods=0.5, degree=4)
+    family = problem.family
+    seed = family.seed(problem)
+    scale = family.param_scales(problem)[0]
+
+    def u_at(x):
+        traj = family.build(problem, np.array([x]))
+        return excitation_amplitude(traj, params, problem.duration, with_phase=False).u
+
+    u0 = u_at(seed[0])
+    a = (u_at(seed[0] + scale) - u0) / scale
+    # the map is affine: a third point lies on the line through the first two
+    x_check = seed[0] - 3.0 * scale
+    assert abs(u_at(x_check) - (u0 + (x_check - seed[0]) * a)) <= 1e-9 * abs(u0)
+    xs = seed[0] + scale * np.linspace(-50.0, 50.0, 200_001)
+    scan = np.abs(u0 + (xs - seed[0]) * a) ** 2
+    best = int(np.argmin(scan))
+    assert 0 < best < xs.size - 1  # an interior minimum, so it is the global one
+
+    solution = optimize(problem, budget=50)
+    assert solution.evaluations == 3
+    assert not solution.converged
+    assert solution.residual <= scan[best] * (1.0 + 1e-9)
+    assert solution.residual >= scan[best] * (1.0 - 1e-6)
+    assert abs(solution.free_params[0] - xs[best]) <= xs[1] - xs[0]
+    assert solution.residual == objective(problem, solution.free_params)
+
+
 def test_optimize_validates_budget_and_seed(params):
     problem = _poly_problem(params)
     with pytest.raises(ValueError):
         optimize(problem, budget=10)
     with pytest.raises(ValueError):
         optimize(problem, seed_params=np.zeros(5), budget=100)
+
+
+def test_optimize_budget_must_cover_the_solve(params):
+    # the solve needs n_free + 2 = 59 quadratures, more than the minimum 50
+    with pytest.raises(ValueError):
+        optimize(_poly_problem(params, degree=60), budget=50)
 
 
 def test_quadratic_scaling_of_optimal_residual(params):
