@@ -32,6 +32,7 @@ from . import transport as tp
 from .errors import ConfigError, NumericalError, ResonanceError, ResourceError
 from .model import (
     HBAR_SI,
+    SI,
     OscillatorParams,
     Trajectory,
     make_circular,
@@ -471,20 +472,20 @@ def cmd_sweep(scn: Scenario, out) -> int:
     cfg = build_quadrature(scn)
     # validate once so typos fail fast; this resolves the keys the family reads
     build_trajectory(scn, params)
-    if parameter != "omega" and parameter not in scn.section("trajectory").resolved:
+    if parameter == "omega":
+        if params.units_mode != SI:
+            raise ConfigError("[sweep] omega is fixed at 1 in dimensionless units; sweep it in SI")
+    elif parameter not in scn.section("trajectory").resolved:
         raise ConfigError(f"[sweep] {parameter} is not set in [trajectory] or unused by its family")
 
     label = None
     rows = []
     for value in values:
-        if parameter == "omega":
-            point_params = OscillatorParams(params.mass, value, params.hbar, params.units_mode) \
-                if params.units_mode == "SI" else OscillatorParams.dimensionless()
-            overrides = {}
-        else:
-            point_params = params
-            overrides = {parameter: value}
         try:
+            if parameter == "omega":
+                point_params, overrides = OscillatorParams.si(params.mass, value, params.hbar), {}
+            else:
+                point_params, overrides = params, {parameter: value}
             label, excitation_value = _sweep_value(scn, point_params, cfg, overrides)
         except (ValueError, ResonanceError) as err:
             raise ConfigError(f"[sweep] at {parameter} = {value!r}: {err}") from err

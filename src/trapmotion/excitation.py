@@ -35,14 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Axis, OscillatorParams, Trajectory
-from .quadrature import (
-    BlockGrid,
-    QuadratureConfig,
-    initial_intervals,
-    oscillatory_integral,
-    piece_bounds,
-    refine,
-)
+from .quadrature import QuadratureConfig, running_integrals
 from .errors import ResonanceError
 
 #: Relative detuning below which the sinusoidal/circular closed forms are
@@ -97,8 +90,8 @@ def excitation_amplitude(traj, params: OscillatorParams, t: float,
     ``traj`` may be a :class:`Trajectory` (with ``axis`` selecting the
     component) or a bare :class:`Axis`. Set ``with_phase=False`` to skip the
     cumulative phase integral when only gamma is needed (e.g. inside
-    optimizer loops). With the phase this is the one-instant case of
-    :func:`excitation_profile`.
+    optimizer loops); only b'' is then sampled. With the phase this is the
+    one-instant case of :func:`excitation_profile`.
     """
     ax, duration = _resolve_axis(traj, axis)
     cfg = cfg or QuadratureConfig()
@@ -106,41 +99,28 @@ def excitation_amplitude(traj, params: OscillatorParams, t: float,
     flags_ok = ax.starts_at_zero and ax.starts_at_rest
     if t == 0.0:
         return ExcitationResult(0.0 + 0.0j, 0.0, 0.0 if (flags_ok and with_phase) else None, 0.0)
-
-    pref = _amplitude_prefactor(params)
-    omega = params.omega
-    if not (with_phase and flags_ok):
-        res = oscillatory_integral(ax.bddot, 0.0, t, -omega, cfg,
-                                   feature_time=ax.feature_time, breakpoints=ax.breakpoints)
-        u = pref * res.value
-        return ExcitationResult(u, u.real ** 2 + u.imag ** 2, None, t)
-
-    prof = excitation_profile(ax, params, (t,), cfg)
-    return ExcitationResult(complex(prof.u[0]), float(prof.gamma[0]), float(prof.phi[0]), t)
+    if with_phase and flags_ok:
+        prof = excitation_profile(ax, params, (t,), cfg)
+        return ExcitationResult(complex(prof.u[0]), float(prof.gamma[0]), float(prof.phi[0]), t)
+    _, values, _ = _integrate(ax, params, np.array([t]), cfg, ("u",))
+    u = _amplitude_prefactor(params) * complex(values[0, 0])
+    return ExcitationResult(u, u.real ** 2 + u.imag ** 2, None, t)
 
 
 def fixed_frame_delta(traj, params: OscillatorParams, t: float,
                       cfg: QuadratureConfig | None = None, *, axis: int = 0) -> complex:
-    """Fixed-frame amplitude delta(t) from the effective force M omega^2 b."""
+    """Fixed-frame amplitude delta(t) from the effective force M omega^2 b;
+    only b is sampled."""
     ax, duration = _resolve_axis(traj, axis)
     cfg = cfg or QuadratureConfig()
     _check_time(t, duration)
     if t == 0.0:
         return 0.0 + 0.0j
-    omega = params.omega
-    pref = _delta_prefactor(params)
-    res = oscillatory_integral(ax.b, 0.0, t, +omega, cfg,
-                               feature_time=ax.feature_time, breakpoints=ax.breakpoints)
-    return pref * res.value
+    _, values, _ = _integrate(ax, params, np.array([t]), cfg, ("delta",))
+    return _delta_prefactor(params) * complex(values[0, 0])
 
 
 # --- time profiles ------------------------------------------------------------
-
-#: Intervals per vectorized batch of a profile refinement. Long windows are
-#: streamed in batches of this size with running totals carried across, so
-#: memory stays flat however long the window.
-PROFILE_CHUNK = 1 << 14
-
 
 @dataclass(frozen=True)
 class ExcitationProfile:
@@ -162,93 +142,56 @@ class ExcitationProfile:
     n_intervals: int
 
 
-def _profile_segments(ax: Axis, omega: float, instants: np.ndarray, steps_per_period: int):
-    """Level-0 segments ``(lo, hi, intervals, instant index or -1)`` over [0, instants[-1]].
+def _integrate(ax: Axis, params: OscillatorParams, instants: np.ndarray,
+               cfg: QuadratureConfig, kernels: tuple[str, ...]):
+    """Converged running integrals of ``kernels`` at the sorted, unique
+    ``instants``: a subsequence of ("u", "phi", "delta"), where "u" and
+    "delta" are the integrals before their prefactors and "phi" needs "u".
 
-    Each breakpoint piece keeps the interval count :func:`piece_grids` gives
-    it; the instants inside it become extra nodes, and each sub-piece gets
-    the fewest even intervals (at least 2) whose step is no longer than the
-    piece's own.
-    """
-    t_end = float(instants[-1])
-    index = {float(t): k for k, t in enumerate(instants)}
-    segments = []
-    for lo, hi in piece_bounds(0.0, t_end, ax.breakpoints):
-        n0 = initial_intervals(hi - lo, omega, ax.feature_time, steps_per_period)
-        nodes = [lo, *(float(t) for t in instants if lo < t < hi), hi]
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            m = max(2, math.ceil((b - a) / (hi - lo) * n0 - 1e-9))
-            segments.append((a, b, m + m % 2, index.get(b, -1)))
-    return segments
-
-
-def _level_batches(segments, level: int):
-    """The segments of refinement ``level`` as :class:`BlockGrid` batches of
-    at most :data:`PROFILE_CHUNK` intervals.
-
-    Yields ``(blocks, instants)``: block rows ``(lo, hi, m, j0, j1)`` and,
-    per block, the index of the instant read at its end (-1 when none is).
-    """
-    blocks, instants, size = [], [], 0
-    for lo, hi, m0, k in segments:
-        m = m0 << level
-        j0 = 0
-        while j0 < m:
-            j1 = min(m, j0 + PROFILE_CHUNK - size)
-            blocks.append((lo, hi, m, j0, j1))
-            instants.append(k if j1 == m else -1)
-            size += j1 - j0
-            j0 = j1
-            if size == PROFILE_CHUNK:
-                yield blocks, np.array(instants)
-                blocks, instants, size = [], [], 0
-    if blocks:
-        yield blocks, np.array(instants)
-
-
-def _profile_level(ax: Axis, params: OscillatorParams, segments, cuts, level: int,
-                   filon: bool, with_phase: bool, n_instants: int):
-    """Running u-kernel, phi and delta-kernel integrals and their L1 scales,
-    read at every instant, on the grid of refinement ``level``.
-
-    Instants sit at block ends. A batch gives running integrals from its
-    first node; the totals carried in from earlier batches are added on.
+    Only the evaluators the kernels need are sampled: b'' for u, b for
+    delta, both for phi. Returns ``(level, values, n_intervals)`` as
+    :func:`running_integrals` does.
     """
     omega = params.omega
     pref_sq = params.mass / (2.0 * params.hbar * omega)
     mass_over_hbar = params.mass / params.hbar
-    # u kernel, phi, delta kernel, then the L1 scale of each
-    readings = (np.zeros(n_instants, complex), np.zeros(n_instants), np.zeros(n_instants, complex),
-                np.zeros(n_instants), np.zeros(n_instants), np.zeros(n_instants))
-    totals = [0.0 + 0.0j, 0.0, 0.0 + 0.0j, 0.0, 0.0, 0.0]
-    for blocks, instants in _level_batches(segments, level):
-        grid = BlockGrid(blocks)
-        te = grid.sample_times(cuts)
-        acc = np.asarray(ax.bddot(te), dtype=float)
-        pos = np.asarray(ax.b(te), dtype=float)
-        c, s = np.cos(omega * te), np.sin(omega * te)
-        k_re, k_im = acc * c, -(acc * s)         # u kernel acc e^{-i omega t}
-        # Filon integrates acc against e^{-i omega t}; Simpson the sampled kernel
-        u_rule = (acc, -omega, c, s) if filon else (k_re + 1j * k_im,)
-        d_rule = (pos, omega, c, s) if filon else (pos * c + 1j * (pos * s),)
-        running = [None, None, grid.integral(*d_rule),
-                   grid.trapezoid(np.abs(acc)), None, grid.trapezoid(np.abs(pos))]
-        if with_phase:
-            cum = grid.cumulative(*u_rule)
-            running[0] = cum[grid.ends]
-            # Im[u' u*] = |pref|^2 Im[kernel * conj(running kernel integral)]
-            cum += totals[0]
-            g = pref_sq * (k_im * cum.real - k_re * cum.imag) + mass_over_hbar * pos * acc
-            running[1] = grid.integral(g)
-            running[4] = grid.trapezoid(np.abs(g))
-        else:
-            running[0] = grid.integral(*u_rule)
-        read = instants >= 0
-        for q, run in enumerate(running):
-            if run is not None:
-                readings[q][instants[read]] = totals[q] + run[read]
-                totals[q] += run[-1]
-    return readings[:3], readings[3:]
+    filon = cfg.scheme == "composite-filon"
+    phase = "phi" in kernels
+
+    def batch(grid, te, carried):
+        values, scales = {}, {}
+        if "u" in kernels:
+            acc = np.asarray(ax.bddot(te), dtype=float)
+        if phase or "delta" in kernels:
+            pos = np.asarray(ax.b(te), dtype=float)
+        wt = omega * te
+        c, s = np.cos(wt), np.sin(wt)
+        if "delta" in kernels:
+            values["delta"] = grid.integral(*((pos, omega, c, s) if filon else
+                                              (pos * (c + 1j * s),)))
+            scales["delta"] = grid.trapezoid(np.abs(pos))
+        if "u" in kernels:
+            if phase or not filon:
+                kernel = acc * (c - 1j * s)         # acc e^{-i omega t}
+            # Filon integrates acc against e^{-i omega t}; Simpson the sampled kernel
+            rule = (acc, -omega, c, s) if filon else (kernel,)
+            scales["u"] = grid.trapezoid(np.abs(acc))
+            if phase:
+                cum = grid.cumulative(*rule)
+                values["u"] = cum[grid.ends]
+                # Im[u' u*] = |pref|^2 Im[kernel * conj(running kernel integral)]
+                cum += carried[0]
+                g = (pref_sq * (kernel.imag * cum.real - kernel.real * cum.imag)
+                     + mass_over_hbar * pos * acc)
+                values["phi"] = grid.integral(g)
+                scales["phi"] = grid.trapezoid(np.abs(g))
+            else:
+                values["u"] = grid.integral(*rule)
+        return [values[k] for k in kernels], [scales[k] for k in kernels]
+
+    return running_integrals(batch, len(kernels), instants, cfg, "excitation quadrature",
+                             omega=omega, feature_time=ax.feature_time,
+                             breakpoints=ax.breakpoints)
 
 
 def excitation_profile(traj, params: OscillatorParams, times,
@@ -257,12 +200,11 @@ def excitation_profile(traj, params: OscillatorParams, times,
 
     All instants are prefixes of the same cumulative integrals, so one grid
     over [0, max(times)] serves them all: it is split at the acceleration
-    breakpoints (sampled one-sidedly, as in :func:`piece_grids`) and at each
-    instant (a plain node), and doubled until every instant's u, phi (when
-    defined) and delta each change by at most ``cfg.tol`` times their own L1
-    scale up to that instant. Instants may repeat, come in any order, and
-    include t = 0. Fails with :class:`NumericalError` like
-    :func:`excitation_amplitude`.
+    breakpoints (sampled one-sidedly) and at each instant (a plain node), and
+    doubled until every instant's u, phi (when defined) and delta each change
+    by at most ``cfg.tol`` times their own L1 scale up to that instant.
+    Instants may repeat, come in any order, and include t = 0. Fails with
+    :class:`NumericalError` like :func:`excitation_amplitude`.
     """
     ax, duration = _resolve_axis(traj, axis)
     cfg = cfg or QuadratureConfig()
@@ -271,25 +213,17 @@ def excitation_profile(traj, params: OscillatorParams, times,
         _check_time(t, duration)
     with_phase = ax.starts_at_zero and ax.starts_at_rest
     instants, where = np.unique(t_req, return_inverse=True)
-    n = len(instants)
-    raw, phi, d_raw = np.zeros(n, complex), np.zeros(n), np.zeros(n, complex)
-    level = n_intervals = 0
-    if n and instants[-1] > 0.0:
-        segments = _profile_segments(ax, params.omega, instants, cfg.steps_per_period)
-        cuts = set(p for p in ax.breakpoints if 0.0 < p < instants[-1])
-        filon = cfg.scheme == "composite-filon"
-        intervals = sum(m for _, _, m, _ in segments)
-        level, (raw, phi, d_raw), _, _ = refine(
-            lambda level: _profile_level(ax, params, segments, cuts, level, filon, with_phase, n),
-            cfg, "excitation quadrature", intervals)
-        n_intervals = intervals << level
-    u = _amplitude_prefactor(params) * raw[where]
+    level, values, n_intervals = 0, np.zeros((3, len(instants))), 0
+    if len(instants) and instants[-1] > 0.0:
+        kernels = ("u", "phi", "delta") if with_phase else ("u", "delta")
+        level, values, n_intervals = _integrate(ax, params, instants, cfg, kernels)
+    u = _amplitude_prefactor(params) * values[0][where]
     return ExcitationProfile(
         t=t_req,
         u=u,
         gamma=u.real ** 2 + u.imag ** 2,
-        phi=phi[where] if with_phase else None,
-        delta=_delta_prefactor(params) * d_raw[where],
+        phi=values[1].real[where] if with_phase else None,
+        delta=_delta_prefactor(params) * values[-1][where],
         level=level,
         n_intervals=n_intervals,
     )

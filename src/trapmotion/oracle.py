@@ -23,14 +23,7 @@ import numpy as np
 from .errors import NumericalError, ResourceError, TruncationWarning
 from .excitation import _check_time, _delta_prefactor, _resolve_axis
 from .model import OscillatorParams, Trajectory
-from .quadrature import (
-    QuadratureConfig,
-    composite_simpson,
-    cumulative_simpson,
-    initial_intervals,
-    oscillatory_integral,
-    refine,
-)
+from .quadrature import QuadratureConfig, running_integrals
 
 #: Fock projections above this level are refused rather than risk silent
 #: Hermite-recurrence degradation on coarse grids.
@@ -161,29 +154,45 @@ def _delta_profile(ax, params: OscillatorParams, t: float, cfg: QuadratureConfig
     """delta(t) plus the two phase integrals of the driven coherent state
     (omega * integral delta^2 e^{-2 i omega tau} and integral
     f^2 / (2 M omega^2 hbar)), each converged to ``cfg.tol`` times its own
-    L1 scale by :func:`refine` on a uniform grid over [0, t]."""
+    L1 scale. Only b is sampled, always under Simpson's rule, so this stays
+    independent of the b'' path it checks.
+    """
     omega = params.omega
     pref = _delta_prefactor(params)
     theta2_pref = params.mass * omega ** 2 / (2.0 * params.hbar)  # f = M omega^2 b
-    n0 = initial_intervals(t, omega, ax.feature_time, cfg.steps_per_period)
 
-    def evaluate(level):
-        n = n0 << level
-        ts = np.linspace(0.0, t, n + 1)
-        dx = t / n
-        pos = np.asarray(ax.b(ts), dtype=float)
-        delta_tau = pref * cumulative_simpson(pos * np.exp(1j * omega * ts), dx)
+    def batch(grid, te, carried):
+        pos = np.asarray(ax.b(te), dtype=float)
+        delta_tau = pref * grid.cumulative(pos * np.exp(1j * omega * te))
+        delta_end = delta_tau[grid.ends]
+        delta_tau += carried[0]
         delta_sq = delta_tau ** 2
         pos_sq = pos ** 2
-        values = (complex(delta_tau[-1]),
-                  omega * complex(composite_simpson(delta_sq * np.exp(-2j * omega * ts), dx)),
-                  theta2_pref * float(composite_simpson(pos_sq, dx)))
-        scales = (abs(pref) * float(np.trapezoid(np.abs(pos), dx=dx)),
-                  omega * float(np.trapezoid(np.abs(delta_sq), dx=dx)),
-                  theta2_pref * float(np.trapezoid(pos_sq, dx=dx)))
+        values = (delta_end,
+                  omega * grid.integral(delta_sq * np.exp(-2j * omega * te)),
+                  theta2_pref * grid.integral(pos_sq))
+        scales = (abs(pref) * grid.trapezoid(np.abs(pos)),
+                  omega * grid.trapezoid(np.abs(delta_sq)),
+                  theta2_pref * grid.trapezoid(pos_sq))
         return values, scales
 
-    return refine(evaluate, cfg, "driven coherent-state phase integrals", n0)[1]
+    _, (delta, theta1, theta2), _ = running_integrals(
+        batch, 3, np.array([t]), cfg, "driven coherent-state phase integrals", omega=omega,
+        feature_time=ax.feature_time, breakpoints=ax.breakpoints)
+    return complex(delta[0]), complex(theta1[0]), float(theta2[0].real)
+
+
+def _kinetic_integral(ax, t: float, cfg: QuadratureConfig) -> float:
+    """integral_0^t b'^2 for t > 0, converged to ``cfg.tol`` times itself.
+    Only b' is sampled."""
+    def batch(grid, te, carried):
+        vel_sq = np.asarray(ax.bdot(te), dtype=float) ** 2
+        return (grid.integral(vel_sq),), (grid.trapezoid(vel_sq),)
+
+    _, (vel_sq,), _ = running_integrals(
+        batch, 1, np.array([t]), cfg, "moving-frame kinetic phase", omega=0.0,
+        feature_time=ax.feature_time, breakpoints=ax.breakpoints)
+    return float(vel_sq[0].real)
 
 
 def coherent_state(alpha: complex, params: OscillatorParams, grid: Grid,
@@ -243,9 +252,7 @@ def moving_frame_coherent_state(beta: complex, params: OscillatorParams, grid: G
     mass = params.mass
     b = float(ax.b(t))
     bdot = float(ax.bdot(t))
-    vel2 = oscillatory_integral(lambda tau: np.asarray(ax.bdot(tau), dtype=float) ** 2, 0.0, t, 0.0,
-                                cfg, feature_time=ax.feature_time, breakpoints=ax.breakpoints)
-    kin = vel2.value.real * mass / (2.0 * hbar)
+    kin = _kinetic_integral(ax, t, cfg or QuadratureConfig()) * mass / (2.0 * hbar) if t else 0.0
     x = grid.x
     phase_t = complex(math.cos(omega * t), -math.sin(omega * t))
     exponent = (

@@ -1,18 +1,14 @@
-"""Quadrature primitives for oscillatory Fourier-type integrals.
+"""The one quadrature engine: running Fourier-type integrals from t = 0.
 
-Two schemes are provided for integrals of the form
-
-    I = integral_a^b f(t) exp(i * omega * t) dt,   f real-valued and smooth:
-
-* refined composite Simpson ("adaptive-simpson"): a uniform grid resolving
-  both the oscillation period and the trajectory's own feature time, doubled
-  until the value is stable;
-* composite Filon ("composite-filon"): parabolic fit of f per panel pair,
-  integrated exactly against the oscillation. Useful when omega*(b-a) is so
-  large that resolving every period is wasteful.
-
-Convergence is judged against the L1 size of f (times the unit-modulus
-oscillation), so the stopping rule is invariant under rescaling f.
+Every converged integral of the package, integral_0^t f(tau) [e^{i omega tau}]
+d tau read at a list of instants, runs through :func:`running_integrals`: the
+window is split at the breakpoints and instants (:func:`segments`), each
+refinement level is streamed in :class:`BlockGrid` batches (:func:`batches`),
+and :func:`refine` doubles the grid until every value has changed by at most
+``tol`` times its integrand's L1 size. Callers supply only the integrands.
+The oscillatory ones use refined composite Simpson on the sampled product
+("adaptive-simpson") or composite Filon, which integrates f's quadratic
+interpolant against the oscillation exactly ("composite-filon").
 """
 
 from __future__ import annotations
@@ -30,6 +26,14 @@ SCHEMES = ("adaptive-simpson", "composite-filon")
 #: Hard cap on the per-level grid size; refinement beyond this aborts rather
 #: than exhausting memory.
 MAX_TOTAL_INTERVALS = 1 << 25
+
+#: Intervals per vectorized batch of a refinement level. Long windows are
+#: streamed in batches of this size with running totals carried across, so
+#: memory stays flat however long the window. At this size a batch's arrays
+#: (32 kB real, 64 kB complex) are reused from batch to batch; four times
+#: larger ones took tens of thousands of fresh-page faults per 1e4-period
+#: profile, a quarter of its time.
+BATCH_INTERVALS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -59,77 +63,6 @@ class QuadratureConfig:
             raise ValueError("max_doublings must be >= 1")
 
 
-def composite_simpson(y: np.ndarray, dx: float):
-    """Composite Simpson rule over a uniform grid with an even interval count."""
-    n = len(y) - 1
-    if n < 2 or n % 2:
-        raise ValueError(f"need an even number of intervals >= 2, got {n}")
-    return (dx / 3.0) * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
-
-
-def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative integral on the sample grid; exact for cubics panel-wise.
-
-    Even nodes get the composite Simpson partial sums; odd nodes use the
-    (5, 8, -1)/12 half-panel rule on the enclosing panel.
-    """
-    n = len(y) - 1
-    if n < 2 or n % 2:
-        raise ValueError(f"need an even number of intervals >= 2, got {n}")
-    f0, f1, f2 = y[:-2:2], y[1:-1:2], y[2::2]
-    full = dx * (f0 + 4.0 * f1 + f2) / 3.0
-    half = dx * (5.0 * f0 + 8.0 * f1 - f2) / 12.0
-    out = np.empty(len(y), dtype=np.result_type(y.dtype, float))
-    even = np.concatenate(([0.0], np.cumsum(full)))
-    out[0::2] = even
-    out[1::2] = even[:-1] + half
-    return out
-
-
-def _filon_weights(theta: float) -> tuple[float, float, float]:
-    # Classic Filon weights; Taylor series below theta ~ 1/6 to dodge
-    # catastrophic cancellation in the closed forms.
-    if theta < 1.0 / 6.0:
-        t2 = theta * theta
-        alpha = theta * t2 * (2.0 / 45.0 + t2 * (-2.0 / 315.0 + t2 * (2.0 / 4725.0)))
-        beta = 2.0 / 3.0 + t2 * (2.0 / 15.0 + t2 * (-4.0 / 105.0 + t2 * (2.0 / 567.0)))
-        gamma = 4.0 / 3.0 + t2 * (-2.0 / 15.0 + t2 * (1.0 / 210.0 + t2 * (-1.0 / 11340.0)))
-        return alpha, beta, gamma
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    t3 = theta ** 3
-    alpha = (theta ** 2 + theta * sin_t * cos_t - 2.0 * sin_t ** 2) / t3
-    beta = 2.0 * (theta * (1.0 + cos_t ** 2) - 2.0 * sin_t * cos_t) / t3
-    gamma = 4.0 * (sin_t - theta * cos_t) / t3
-    return alpha, beta, gamma
-
-
-def filon_exponential(fvals: np.ndarray, ts: np.ndarray, omega: float) -> complex:
-    """Composite Filon value of integral f(t) e^{i omega t} dt on a uniform grid.
-
-    ``fvals`` must be real samples on ``ts`` with an even interval count.
-    """
-    n = len(ts) - 1
-    if n < 2 or n % 2:
-        raise ValueError(f"need an even number of intervals >= 2, got {n}")
-    h = ts[1] - ts[0]
-    w = abs(omega)
-    if w == 0.0:
-        return complex(composite_simpson(np.asarray(fvals, dtype=float), h))
-    sign = 1.0 if omega > 0.0 else -1.0
-    alpha, beta, gamma = _filon_weights(w * h)
-    c = np.cos(w * ts)
-    s = np.sin(w * ts)
-    fc = fvals * c
-    fs = fvals * s
-    c_even = np.sum(fc[0::2]) - 0.5 * (fc[0] + fc[-1])
-    c_odd = np.sum(fc[1::2])
-    s_even = np.sum(fs[0::2]) - 0.5 * (fs[0] + fs[-1])
-    s_odd = np.sum(fs[1::2])
-    i_cos = h * (alpha * (fvals[-1] * s[-1] - fvals[0] * s[0]) + beta * c_even + gamma * c_odd)
-    i_sin = h * (-alpha * (fvals[-1] * c[-1] - fvals[0] * c[0]) + beta * s_even + gamma * s_odd)
-    return complex(i_cos, sign * i_sin)
-
-
 def initial_intervals(span: float, omega: float, feature_time: float | None,
                       steps_per_period: int) -> int:
     """Even interval count resolving the oscillation and the trajectory feature.
@@ -147,46 +80,11 @@ def initial_intervals(span: float, omega: float, feature_time: float | None,
     return n + (n % 2)
 
 
-@dataclass(frozen=True)
-class OscillatoryResult:
-    value: complex
-    n_intervals: int
-    error_estimate: float
-    scale: float
-
-
 def piece_bounds(a: float, b: float, breakpoints=()) -> list[tuple[float, float]]:
     """Split [a, b] at the interior breakpoints that fall strictly inside it."""
     cuts = sorted(p for p in breakpoints if a < p < b)
     bounds = [a, *cuts, b]
     return list(zip(bounds[:-1], bounds[1:]))
-
-
-def piece_grids(pieces, level: int):
-    """Per-piece (nodes, sample_times) grids for refinement ``level``.
-
-    ``pieces`` lists consecutive ``(lo, hi, intervals at level 0)``, split at
-    the breakpoints; interval counts double with ``level``. Grid nodes land
-    exactly on the breakpoints; the sample times are identical except that
-    endpoints sitting on a breakpoint are inset into the piece by a 1e-9
-    fraction of the local step, so a discontinuous integrand is only ever
-    sampled one-sidedly. The integrand is smooth within each piece, restoring
-    clean Simpson/Filon convergence.
-    """
-    grids = []
-    last = len(pieces) - 1
-    for k, (lo, hi, n0) in enumerate(pieces):
-        n = n0 << level
-        ts = te = np.linspace(lo, hi, n + 1)
-        if last:
-            inset = 1e-9 * (hi - lo) / n
-            te = ts.copy()
-            if k > 0:
-                te[0] = lo + inset
-            if k < last:
-                te[-1] = hi - inset
-        grids.append((ts, te))
-    return grids
 
 
 @functools.lru_cache(maxsize=1024)
@@ -225,44 +123,51 @@ class BlockGrid:
     the panel and the product with e^{i omega t} is integrated exactly. At
     ``omega = 0`` that is Simpson's rule, and ``fvals`` may be complex;
     otherwise ``fvals`` is real and ``cos_t`` and ``sin_t`` hold
-    cos(|omega| t) and sin(|omega| t) at the nodes.
+    cos(|omega| t) and sin(|omega| t) at the nodes. The node and weight
+    arrays are read-only, since one grid can serve many calls.
     """
 
     def __init__(self, blocks):
-        lo, hi, m, j0, j1 = (np.array(col) for col in zip(*blocks))
+        self._blocks = blocks
+        lo, hi, m, j0, j1 = np.array(blocks, dtype=float).T
+        if np.any(j0 % 2 + j1 % 2) or not np.all((0 <= j0) & (j0 < j1) & (j1 <= m)):
+            raise ValueError("block nodes do not pair into panels")
+        nodes = (j1 - j0 + 1).astype(int)
+        self.ends = np.cumsum(nodes) - 1
+        self.starts = self.ends - (nodes - 1)
         step = (hi - lo) / m
-        nodes = j1 - j0 + 1
-        self.first = np.concatenate(([0], np.cumsum(nodes)))
-        self.starts, self.ends = self.first[:-1], self.first[1:] - 1
-        index = np.arange(self.first[-1]) + np.repeat(j0 - self.starts, nodes)
-        self.ts = np.repeat(lo, nodes) + index * np.repeat(step, nodes)
-        closes = j1 == m
-        self.ts[self.ends[closes]] = hi[closes]
-        self._bounds = (lo, hi, m, j0 == 0, closes)
         self.dx = (lo + step) - lo    # the spacing the nodes actually have
-        self._panels = (j1 - j0) // 2
-        panels_through = np.cumsum(self._panels)     # panels in blocks 0..b
-        self._last_panels = panels_through - 1
-        self._panel_starts = (np.repeat(self.starts - 2 * (panels_through - self._panels),
-                                        self._panels)
-                              + 2 * np.arange(panels_through[-1]))
+        index = np.arange(self.ends[-1] + 1) + np.repeat((j0 - self.starts).astype(int), nodes)
+        self.ts = np.repeat(lo, nodes) + index * np.repeat(step, nodes)
+        closes = j1 == m    # the segment's last node sits exactly on its end
+        self.ts[self.ends[closes]] = hi[closes]
         self._trapezoid = np.repeat(self.dx, nodes)
-        self._trapezoid[self.starts] *= 0.5
-        self._trapezoid[self.ends] *= 0.5
+        self._trapezoid[self.starts] = self._trapezoid[self.ends] = 0.5 * self.dx
+        # Simpson: dx/3 times 1, 4, 2, ..., 4, 1 in each block
+        self._simpson = self._trapezoid * np.where(index & 1, 4.0 / 3.0, 2.0 / 3.0)
+        for shared in (self.ts, self._trapezoid, self._simpson):
+            shared.flags.writeable = False
+
+    @functools.cached_property
+    def _panels(self):
+        """Panels per block, the last panel of each, and every panel's first node."""
+        panels = (self.ends - self.starts) // 2
+        through = np.cumsum(panels)     # panels in blocks 0..b
+        p0 = np.repeat(self.starts - 2 * (through - panels), panels) + 2 * np.arange(through[-1])
+        return panels, through - 1, p0
 
     def sample_times(self, cuts) -> np.ndarray:
         """Node times, except that a segment end lying in ``cuts`` is moved
-        1e-9 of a step into its own segment (as in :func:`piece_grids`)."""
+        1e-9 of a step into its own segment, so an integrand that jumps at a
+        cut is only ever sampled one-sidedly."""
         if not cuts:
             return self.ts
-        lo, hi, m, opens, closes = self._bounds
-        cut_list = list(cuts)
-        inset = 1e-9 * (hi - lo) / m
         te = self.ts.copy()
-        at_lo = opens & np.isin(lo, cut_list)
-        at_hi = closes & np.isin(hi, cut_list)
-        te[self.starts[at_lo]] = (lo + inset)[at_lo]
-        te[self.ends[at_hi]] = (hi - inset)[at_hi]
+        for b, (lo, hi, m, j0, j1) in enumerate(self._blocks):
+            if j0 == 0 and lo in cuts:
+                te[self.starts[b]] = lo + 1e-9 * (hi - lo) / m
+            if j1 == m and hi in cuts:
+                te[self.ends[b]] = hi - 1e-9 * (hi - lo) / m
         return te
 
     def trapezoid(self, y: np.ndarray) -> np.ndarray:
@@ -272,40 +177,52 @@ class BlockGrid:
     def integral(self, fvals: np.ndarray, omega: float = 0.0, cos_t=None,
                  sin_t=None) -> np.ndarray:
         """Running integral of f(t) e^{i omega t} at each block's last node."""
-        return np.cumsum(self._panel_steps(fvals, omega, cos_t, sin_t, 2.0))[self._last_panels]
+        if omega == 0.0:
+            return np.cumsum(np.add.reduceat(self._simpson * fvals, self.starts))
+        (steps,) = self._panel_steps(fvals, omega, cos_t, sin_t, (2.0,))
+        return np.cumsum(steps)[self._panels[1]]
 
     def cumulative(self, fvals: np.ndarray, omega: float = 0.0, cos_t=None,
                    sin_t=None) -> np.ndarray:
         """Running integral of f(t) e^{i omega t} at every node.
 
         Odd nodes add the integral of the same quadratic over the first half
-        of their panel; at ``omega = 0`` that is the (5, 8, -1)/12 rule of
-        :func:`cumulative_simpson`.
+        of their panel; at ``omega = 0`` that is the (5, 8, -1)/12 rule.
         """
-        p0 = self._panel_starts
-        run = np.concatenate(([0.0], np.cumsum(self._panel_steps(fvals, omega, cos_t, sin_t, 2.0))))
+        p0 = self._panels[2]
+        whole, half = self._panel_steps(fvals, omega, cos_t, sin_t, (2.0, 1.0))
+        run = np.concatenate(([0.0], np.cumsum(whole)))
         out = np.empty(len(fvals), dtype=run.dtype)
         out[p0] = run[:-1]
-        out[p0 + 1] = run[:-1] + self._panel_steps(fvals, omega, cos_t, sin_t, 1.0)
+        out[p0 + 1] = run[:-1] + half
         out[p0 + 2] = run[1:]
         return out
 
-    def _panel_steps(self, fvals, omega, cos_t, sin_t, upper: float) -> np.ndarray:
-        """Filon integral over the first ``upper`` intervals of every panel."""
-        p0 = self._panel_starts
-        w = np.array([_quadratic_weights(omega * h, upper) for h in self.dx]) * self.dx[:, None]
-        if len(w) > 1:
-            w = np.repeat(w, self._panels, axis=0)
-        f = (fvals[p0], fvals[p0 + 1], fvals[p0 + 2])
-        re = sum(w[..., k].real * f[k] for k in range(3))
-        if omega == 0.0:
-            return re
-        im = sum(w[..., k].imag * f[k] for k in range(3))
-        cos0, sin0 = cos_t[p0], (1.0 if omega > 0.0 else -1.0) * sin_t[p0]
-        step = np.empty(len(p0), dtype=complex)   # e^{i omega x0} (re + i im)
-        step.real = cos0 * re - sin0 * im
-        step.imag = sin0 * re + cos0 * im
-        return step
+    def _panel_steps(self, fvals, omega, cos_t, sin_t, uppers) -> list[np.ndarray]:
+        """Filon integrals over the first ``upper`` intervals of every panel,
+        one array for each of ``uppers``."""
+        panels, _, p0 = self._panels
+        f0, f1, f2 = fvals[p0], fvals[p0 + 1], fvals[p0 + 2]
+        if omega != 0.0:   # each panel's weights hold e^{i omega (t - x0)}; put e^{i omega x0} back
+            turn = cos_t[p0] + (1j if omega > 0.0 else -1j) * sin_t[p0]
+        steps = []
+        for upper in uppers:
+            w = np.array([_quadratic_weights(omega * h, upper) for h in self.dx]) * self.dx[:, None]
+            if omega == 0.0:
+                w = w.real
+            if len(w) > 1:
+                w = np.repeat(w, panels, axis=0)
+            step = w[:, 0] * f0 + w[:, 1] * f1 + w[:, 2] * f2
+            steps.append(step if omega == 0.0 else turn * step)
+        return steps
+
+
+@functools.lru_cache(maxsize=8)
+def _small_grid(blocks: tuple) -> BlockGrid:
+    """The grid of a level that fits in one batch. Short windows are the ones
+    integrated over and over (a transport solve makes n_free + 2 quadratures
+    of one window), so their grids are kept; long ones stream past."""
+    return BlockGrid(blocks)
 
 
 def refine(evaluate, cfg: QuadratureConfig, what: str, intervals: int):
@@ -330,13 +247,12 @@ def refine(evaluate, cfg: QuadratureConfig, what: str, intervals: int):
             )
         values, scales = evaluate(level)
         if prev is not None:
-            # plain Python on scalars: gamma-only calls sit in optimizer loops
-            changes = [abs(v - p) for v, p in zip(values, prev)]
-            if all((d <= cfg.tol * s).all() if isinstance(d, np.ndarray) else d <= cfg.tol * s
-                   for d, s in zip(changes, scales)):
-                return level, values, scales, _largest(changes)
+            # ufuncs give numpy scalars or arrays, whose methods beat np.all and np.max
+            changes = [np.abs(np.subtract(v, p)) for v, p in zip(values, prev)]
+            if all((d <= cfg.tol * s).all() for d, s in zip(changes, scales)):
+                return level, values, scales, max(float(d.max()) for d in changes)
         prev = values
-    residual = _largest(changes)
+    residual = max(float(d.max()) for d in changes)
     raise NumericalError(
         f"{what} did not stabilize after {cfg.max_doublings} grid doublings "
         f"(last change {residual:.3e})",
@@ -344,44 +260,86 @@ def refine(evaluate, cfg: QuadratureConfig, what: str, intervals: int):
     )
 
 
-def _largest(changes) -> float:
-    return max(float(d.max()) if isinstance(d, np.ndarray) else float(d) for d in changes)
+def segments(instants, omega: float, feature_time: float | None, breakpoints,
+             steps_per_period: int):
+    """Level-0 segments ``(lo, hi, intervals, instant index or -1)`` over [0, instants[-1]].
 
-
-def oscillatory_integral(f, a: float, b: float, omega: float,
-                         cfg: QuadratureConfig | None = None, *,
-                         feature_time: float | None = None,
-                         breakpoints=()) -> OscillatoryResult:
-    """Integrate f(t) e^{i omega t} over [a, b] to a scale-relative tolerance.
-
-    The grid is doubled by :func:`refine` until successive values agree
-    within ``cfg.tol`` times the L1 norm of f. Known discontinuity locations
-    of f can be passed as ``breakpoints``; the integral is then assembled
-    piecewise so the jumps never sit inside a Simpson panel.
+    ``instants`` is a sorted array. Each breakpoint piece gets the
+    :func:`initial_intervals` of its own span; the instants inside it become
+    extra nodes, and each sub-piece gets the fewest even intervals (at least
+    2) whose step is no longer than the piece's own. A segment ending on an
+    instant carries that instant's index.
     """
-    cfg = cfg or QuadratureConfig()
-    span = b - a
-    if span == 0.0:
-        return OscillatoryResult(0.0 + 0.0j, 0, 0.0, 0.0)
-    if span < 0.0:
-        raise ValueError(f"integration bounds must be ordered, got [{a!r}, {b!r}]")
-    filon = cfg.scheme == "composite-filon"
-    pieces = [(lo, hi, initial_intervals(hi - lo, omega, feature_time, cfg.steps_per_period))
-              for lo, hi in piece_bounds(a, b, breakpoints)]
+    times = instants.tolist()
+    index = {t: k for k, t in enumerate(times)}
+    out = []
+    for lo, hi in piece_bounds(0.0, times[-1], breakpoints):
+        n0 = initial_intervals(hi - lo, omega, feature_time, steps_per_period)
+        nodes = [lo, *(t for t in times if lo < t < hi), hi]
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            m = max(2, math.ceil((b - a) / (hi - lo) * n0 - 1e-9))
+            out.append((a, b, m + m % 2, index.get(b, -1)))
+    return out
+
+
+def batches(layout, level: int):
+    """The segments of refinement ``level`` as :class:`BlockGrid` batches of
+    at most :data:`BATCH_INTERVALS` intervals.
+
+    Yields ``(blocks, at, which)``: block rows ``(lo, hi, m, j0, j1)``, the
+    positions of the blocks that end on an instant, and those instants'
+    indices.
+    """
+    blocks, at, which, size = [], [], [], 0
+    for lo, hi, m0, k in layout:
+        m = m0 << level
+        j0 = 0
+        while j0 < m:
+            j1 = min(m, j0 + BATCH_INTERVALS - size)
+            if j1 == m and k >= 0:
+                at.append(len(blocks))
+                which.append(k)
+            blocks.append((lo, hi, m, j0, j1))
+            size += j1 - j0
+            j0 = j1
+            if size == BATCH_INTERVALS:
+                yield blocks, at, which
+                blocks, at, which, size = [], [], [], 0
+    if blocks:
+        yield blocks, at, which
+
+
+def running_integrals(batch, count: int, instants, cfg: QuadratureConfig, what: str, *,
+                      omega: float, feature_time: float | None = None, breakpoints=()):
+    """Running integrals from t = 0, read at every instant and converged by :func:`refine`.
+
+    ``instants`` is sorted and unique with a positive last entry. The grid
+    over [0, instants[-1]] comes from :func:`segments`, which resolves the
+    oscillation ``omega`` and ``feature_time`` and splits at ``breakpoints``.
+    Each level is streamed through ``batch(grid, te, carried)``: ``grid`` is
+    one batch's :class:`BlockGrid`, ``te`` its sample times (segment ends on
+    a breakpoint sampled one-sidedly), and ``carried[q]`` the total of value
+    q over the earlier batches. It returns ``(values, scales)``: ``count``
+    running integrals at each block end, counted from the batch's first
+    node, and the L1 size each one converges against. The result is
+    ``(level, values, n_intervals)`` with ``values[q, k]``, complex, value q
+    at ``instants[k]``.
+    """
+    cuts = set(p for p in breakpoints if 0.0 < p < instants[-1])
+    layout = segments(instants, omega, feature_time, breakpoints, cfg.steps_per_period)
 
     def evaluate(level):
-        value = 0.0 + 0.0j
-        scale = 0.0
-        for ts, te in piece_grids(pieces, level):
-            fv = np.asarray(f(te), dtype=float)
-            dx = ts[1] - ts[0]
-            scale += float(np.trapezoid(np.abs(fv), dx=dx))
-            if filon:
-                value += filon_exponential(fv, ts, omega)
-            else:
-                value += complex(composite_simpson(fv * np.exp(1j * omega * te), dx))
-        return (value,), (scale,)
+        readings = np.zeros((2 * count, len(instants)), complex)   # values, then scales
+        carried = np.zeros(2 * count, complex)
+        grid_of = _small_grid if intervals << level <= BATCH_INTERVALS else BlockGrid
+        for blocks, at, which in batches(layout, level):
+            grid = grid_of(tuple(blocks))
+            values, scales = batch(grid, grid.sample_times(cuts), carried)
+            runs = np.array([*values, *scales])
+            readings[:, which] = carried[:, None] + runs[:, at]
+            carried += runs[:, -1]
+        return (readings[:count],), (readings[count:].real,)
 
-    n0 = sum(n for _, _, n in pieces)
-    level, (value,), (scale,), change = refine(evaluate, cfg, "oscillatory quadrature", n0)
-    return OscillatoryResult(value, n0 << level, change / 15.0, scale)
+    intervals = sum(m for _, _, m, _ in layout)
+    level, (values,), _, _ = refine(evaluate, cfg, what, intervals)
+    return level, values, intervals << level

@@ -259,13 +259,13 @@ def optimize(problem: TransportProblem, seed_params=None, budget: int = 2000, *,
     ``param_scales[i]`` along each parameter i, and the minimum-norm step to
     the least |u| is re-checked by quadrature. The better of seed and solution
     is returned. That costs one quadrature when there is no freedom or the
-    seed is below ``threshold``, else n_free + 2, which ``budget`` must allow.
-    A residual above ``threshold`` gives ``converged=False``, not an error.
+    seed is below ``threshold``, else n_free + 2, so ``budget`` must be at
+    least n_free + 2. A residual above ``threshold`` gives ``converged=False``,
+    not an error.
     """
     family = problem.family
-    least = max(50, family.n_free + 2)
-    if budget < least:
-        raise ValueError(f"budget must be >= max(50, n_free + 2) = {least}, got {budget}")
+    if budget < family.n_free + 2:
+        raise ValueError(f"budget must be >= n_free + 2 = {family.n_free + 2}, got {budget}")
     if seed_params is None:
         seed_params = family.seed(problem)
     seed = np.asarray(seed_params, dtype=float)

@@ -415,6 +415,58 @@ values = 1,2,3
     assert f"{parameter} is not set in [trajectory] or unused by its family" in err
 
 
+def test_sweep_rejects_omega_in_dimensionless_units(tmp_path, capsys):
+    # dimensionless mode fixes omega = 1: every row would repeat one value
+    cfg = write_config(tmp_path, """
+[oscillator]
+dimensionless = on
+
+[trajectory]
+family = kick
+v = 1.0
+T_a = 0.5
+T = 20.0
+
+[sweep]
+parameter = omega
+values = 0.5, 1, 2
+""")
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert "omega is fixed at 1 in dimensionless units" in err
+
+
+@pytest.mark.parametrize("values, code", [("0.5, 1, 2", 0), ("0.5, -1", 2)],
+                         ids=["valid", "negative"])
+def test_sweep_omega_in_si_units(tmp_path, capsys, values, code):
+    # G = M v^2 / (2 hbar omega): the swept omega reaches every row, and a
+    # value that is no trap frequency is a config error
+    cfg = write_config(tmp_path, f"""
+[oscillator]
+mass = 1.0
+omega = 1.0
+hbar = 1.0
+
+[trajectory]
+family = kick
+v = 1.0
+T_a = 0.05
+T = 20.0
+
+[sweep]
+parameter = omega
+values = {values}
+""")
+    got, out, err = run_cli(capsys, "sweep", "--config", cfg)
+    assert got == code
+    if code:
+        assert "[sweep] at omega = -1.0" in err
+    else:
+        _, data = rows(out)
+        assert [float(r[1]) for r in data] == pytest.approx([1.0, 0.5, 0.25], rel=1e-12)
+
+
 @pytest.mark.parametrize("command", ["excite", "sweep"])
 def test_sinusoidal_rejects_both_T_and_s(tmp_path, capsys, command):
     # excite used T and sweep used s; neither may pick one silently

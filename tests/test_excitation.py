@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from trapmotion import (
     Axis,
+    NumericalError,
     OscillatorParams,
     QuadratureConfig,
     ResonanceError,
@@ -178,6 +179,105 @@ def test_filon_scheme_agrees_with_simpson(params):
         uf = excitation_amplitude(traj, params, t, cfg_f, with_phase=False).u
         us = excitation_amplitude(traj, params, t, cfg_s, with_phase=False).u
         assert uf == pytest.approx(us, abs=1e-8)
+
+
+# --- single-instant integrals on a bare axis ---------------------------------------
+
+def _axis(b=None, bddot=None, breakpoints=()):
+    """Bare axis from the two evaluators the single-instant calls read; a
+    missing one raises if sampled."""
+    def missing(t):
+        raise AssertionError("sampled an evaluator this integral does not need")
+
+    return Axis(b=b or missing, bdot=missing, bddot=bddot or missing,
+                starts_at_zero=True, starts_at_rest=True, breakpoints=breakpoints)
+
+
+U_PREF = -1j / math.sqrt(2.0)       # u = U_PREF * integral b'' e^{-i t}, dimensionless
+DELTA_PREF = -1j / math.sqrt(2.0)   # delta = DELTA_PREF * integral b e^{+i t}
+
+
+def test_single_instant_integrals_converge_to_analytic_values(params):
+    # b'' = 1 for u; b = t^2 / 2 for delta
+    ax = _axis(b=lambda t: 0.5 * np.asarray(t) ** 2, bddot=lambda t: np.ones_like(np.asarray(t)))
+    cfg = QuadratureConfig(tol=1e-10)
+    T = 5.0
+    u = excitation_amplitude(ax, params, T, cfg, with_phase=False).u
+    assert u == pytest.approx(U_PREF * (np.exp(-1j * T) - 1.0) / -1j, abs=1e-10)
+    moment = np.exp(1j * T) * (-1j * T * T + 2.0 * T + 2j) - 2j   # integral t^2 e^{it}
+    delta = fixed_frame_delta(ax, params, T, cfg)
+    assert delta == pytest.approx(DELTA_PREF * 0.5 * moment, abs=1e-9)
+
+
+def test_single_instant_integrals_of_zero_span_and_zero_integrand(params):
+    one = lambda t: np.ones_like(np.asarray(t, dtype=float))  # noqa: E731
+    ones = _axis(b=one, bddot=one)
+    assert excitation_amplitude(ones, params, 0.0, with_phase=False).u == 0.0
+    assert fixed_frame_delta(ones, params, 0.0) == 0.0
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))  # noqa: E731
+    zeros = _axis(b=zero, bddot=zero)
+    assert excitation_amplitude(zeros, params, 1.0, with_phase=False).u == 0.0
+    assert fixed_frame_delta(zeros, params, 1.0) == 0.0
+
+
+def test_single_instant_integrals_validate_inputs(params):
+    ax = _axis(b=lambda t: np.asarray(t), bddot=lambda t: np.asarray(t))
+    with pytest.raises(ValueError):
+        excitation_amplitude(ax, params, -1.0, with_phase=False)
+    with pytest.raises(ValueError):
+        fixed_frame_delta(ax, params, -1.0)
+    with pytest.raises(ValueError):
+        excitation_amplitude(ax, params, 1.0, QuadratureConfig(scheme="gauss"), with_phase=False)
+
+
+def test_single_instant_integrals_agree_across_schemes(params):
+    f = lambda t: np.cos(0.3 * np.asarray(t)) * (1 + 0.1 * np.asarray(t))  # noqa: E731
+    ax = _axis(b=f, bddot=f)
+    simpson, filon = (QuadratureConfig(scheme=s, tol=1e-10)
+                      for s in ("adaptive-simpson", "composite-filon"))
+    for t in (6.0, 20.0):
+        scale = t * 2.0   # bounds the L1 size of f times the prefactor
+        u_s = excitation_amplitude(ax, params, t, simpson, with_phase=False).u
+        u_f = excitation_amplitude(ax, params, t, filon, with_phase=False).u
+        assert abs(u_s - u_f) <= 1e-9 * scale
+        assert abs(fixed_frame_delta(ax, params, t, simpson)
+                   - fixed_frame_delta(ax, params, t, filon)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("which", ["u", "delta"])
+def test_hidden_jump_needs_a_breakpoint(params, which):
+    t0 = 0.773  # never lands on a uniform grid node of [0, 2]
+
+    def step(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < t0, 1.0, -1.0)
+
+    def integral(breakpoints, cfg=None):
+        if which == "u":
+            ax = _axis(bddot=step, breakpoints=breakpoints)
+            return excitation_amplitude(ax, params, 2.0, cfg, with_phase=False).u / U_PREF
+        ax = _axis(b=step, breakpoints=breakpoints)
+        return fixed_frame_delta(ax, params, 2.0, cfg) / DELTA_PREF
+
+    with pytest.raises(NumericalError) as info:
+        integral((), QuadratureConfig(max_doublings=6))
+    assert info.value.residual is not None
+    sign = -1.0 if which == "u" else 1.0       # e^{-it} for u, e^{+it} for delta
+    piece = lambda a, b: (np.exp(sign * 1j * b) - np.exp(sign * 1j * a)) / (sign * 1j)  # noqa: E731
+    assert integral((t0,)) == pytest.approx(piece(0.0, t0) - piece(t0, 2.0), abs=1e-9)
+
+
+def test_each_single_instant_call_samples_only_its_own_kernel(params):
+    # gamma-only u reads b'' alone and delta reads b alone: the other raises
+    traj = make_kick(1.0, 0.01 * TWO_PI, 12.0, stop_at=5.0)
+    full = traj.axes[0]
+    only_acc = _axis(bddot=full.bddot, breakpoints=full.breakpoints)
+    only_pos = _axis(b=full.b, breakpoints=full.breakpoints)
+    for cfg in (QuadratureConfig(), QuadratureConfig(scheme="composite-filon")):
+        u = excitation_amplitude(only_acc, params, 9.0, cfg, with_phase=False).u
+        assert u == excitation_amplitude(traj, params, 9.0, cfg, with_phase=False).u
+        delta = fixed_frame_delta(only_pos, params, 9.0, cfg)
+        assert delta == fixed_frame_delta(traj, params, 9.0, cfg)
 
 
 # --- kick ------------------------------------------------------------------------

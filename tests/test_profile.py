@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-import trapmotion.excitation as exc
 import trapmotion.quadrature as quadrature
 from trapmotion import (
     Axis,
@@ -166,7 +165,7 @@ def test_chunked_batches_match_one_batch(params, monkeypatch):
     traj = make_kick(1.0, 0.01 * TWO_PI, 40.0, stop_at=17.0)
     times = (39.0, 17.0, 5.5, 22.25)
     whole = excitation_profile(traj, params, times)
-    monkeypatch.setattr(exc, "PROFILE_CHUNK", 64)
+    monkeypatch.setattr(quadrature, "BATCH_INTERVALS", 64)
     chunked = excitation_profile(traj, params, times)
     assert chunked.level == whole.level
     np.testing.assert_allclose(chunked.u, whole.u, rtol=1e-12, atol=1e-14)

@@ -2,67 +2,79 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, simpson
 
 import trapmotion.quadrature as quadrature
 from trapmotion.errors import NumericalError
-from trapmotion.quadrature import (
-    BlockGrid,
-    QuadratureConfig,
-    composite_simpson,
-    cumulative_simpson,
-    filon_exponential,
-    oscillatory_integral,
-    piece_bounds,
-    refine,
-)
+from trapmotion.quadrature import BlockGrid, QuadratureConfig, piece_bounds, refine
+
+
+def _uniform(lo, hi, n):
+    """One block holding all n intervals of [lo, hi], and its nodes."""
+    grid = BlockGrid([(lo, hi, n, 0, n)])
+    return grid, grid.ts
+
+
+def _filon(grid, fvals, omega):
+    w = abs(omega)
+    return grid.integral(fvals, omega, np.cos(w * grid.ts), np.sin(w * grid.ts))[-1]
 
 
 def test_simpson_exact_for_cubics():
-    ts = np.linspace(0.0, 2.0, 9)
+    grid = BlockGrid([(0.0, 2.0, 8, 0, 4), (0.0, 2.0, 8, 4, 8)])
+    ts = grid.ts
     y = ts ** 3 - 2 * ts ** 2 + ts
     exact = 2.0 ** 4 / 4 - 2 * 2.0 ** 3 / 3 + 2.0 ** 2 / 2
-    assert composite_simpson(y, ts[1] - ts[0]) == pytest.approx(exact, rel=1e-15)
+    assert grid.integral(y)[-1] == pytest.approx(exact, rel=1e-15)
 
 
 def test_simpson_requires_even_interval_count():
-    with pytest.raises(ValueError):
-        composite_simpson(np.ones(4), 0.1)
+    with pytest.raises(ValueError, match="pair into panels"):
+        BlockGrid([(0.0, 1.0, 3, 0, 3)])
+    with pytest.raises(ValueError, match="pair into panels"):
+        BlockGrid([(0.0, 1.0, 8, 1, 5)])
+    with pytest.raises(ValueError, match="pair into panels"):
+        BlockGrid([(0.0, 1.0, 8, 4, 4)])
 
 
 def test_simpson_fourth_order_convergence():
     def err(n):
-        ts = np.linspace(0.0, math.pi, n + 1)
-        return abs(composite_simpson(np.sin(ts), ts[1] - ts[0]) - 2.0)
+        grid, ts = _uniform(0.0, math.pi, n)
+        return abs(grid.integral(np.sin(ts))[-1] - 2.0)
 
     assert err(64) / err(128) == pytest.approx(16.0, rel=0.05)
 
 
 def test_cumulative_simpson_matches_antiderivative_exactly_for_cubics():
-    ts = np.linspace(0.0, 1.0, 11)
+    grid, ts = _uniform(0.0, 1.0, 10)
     y = 3 * ts ** 2
-    cum = cumulative_simpson(y, ts[1] - ts[0])
+    cum = grid.cumulative(y)
     assert cum[0] == 0.0
     assert np.allclose(cum, ts ** 3, rtol=1e-13, atol=1e-15)
+    ref = cumulative_simpson(y, x=ts, initial=0.0)
+    np.testing.assert_allclose(cum, ref, rtol=1e-13, atol=1e-15)
 
 
 def test_cumulative_simpson_converges_on_sine():
-    ts = np.linspace(0.0, 3.0, 401)
-    cum = cumulative_simpson(np.sin(ts), ts[1] - ts[0])
+    grid, ts = _uniform(0.0, 3.0, 400)
+    cum = grid.cumulative(np.sin(ts))
     assert np.max(np.abs(cum - (1 - np.cos(ts)))) < 1e-9
 
 
 def test_cumulative_simpson_complex_dtype():
-    ts = np.linspace(0.0, 1.0, 9)
-    cum = cumulative_simpson(np.exp(1j * ts), ts[1] - ts[0])
+    grid, ts = _uniform(0.0, 1.0, 8)
+    cum = grid.cumulative(np.exp(1j * ts))
     assert np.iscomplexobj(cum)
+    ref = [cumulative_simpson(part, x=ts, initial=0.0) for part in (np.cos(ts), np.sin(ts))]
+    np.testing.assert_allclose(cum, ref[0] + 1j * ref[1], rtol=1e-13)
 
 
 @pytest.mark.parametrize("omega", [7.0, -7.0, 0.6])
 def test_filon_constant_integrand(omega):
     # integral of e^{i omega t} over [0, T]
     T = 3.3
-    ts = np.linspace(0.0, T, 65)
-    got = filon_exponential(np.ones_like(ts), ts, omega)
+    grid, ts = _uniform(0.0, T, 64)
+    got = _filon(grid, np.ones_like(ts), omega)
     want = (np.exp(1j * omega * T) - 1.0) / (1j * omega)
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -70,25 +82,28 @@ def test_filon_constant_integrand(omega):
 def test_filon_linear_integrand():
     # integral of t e^{i omega t}: t/(i w) e^{iwt} + (e^{iwt} - 1)/w^2
     omega, T = 11.0, 2.0
-    ts = np.linspace(0.0, T, 129)
-    got = filon_exponential(ts.copy(), ts, omega)
+    grid, ts = _uniform(0.0, T, 128)
+    got = _filon(grid, ts.copy(), omega)
     e = np.exp(1j * omega * T)
     want = T * e / (1j * omega) + (e - 1.0) / omega ** 2
     assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_filon_zero_frequency_falls_back_to_simpson():
-    ts = np.linspace(0.0, 1.0, 17)
+    # at omega = 0 the Filon panel weights (cumulative) are Simpson's (integral)
+    grid, ts = _uniform(0.0, 1.0, 16)
     y = ts ** 2
-    assert filon_exponential(y, ts, 0.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert grid.cumulative(y)[-1] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert grid.cumulative(y)[-1] == pytest.approx(grid.integral(y)[-1], rel=1e-14)
+    assert grid.integral(y)[-1] == pytest.approx(simpson(y, x=ts), rel=1e-14)
 
 
 def test_filon_small_theta_series_consistent_with_closed_form():
-    # same panel width, frequencies straddling the series/closed-form switch
-    ts = np.linspace(0.0, 1.0, 257)
+    # same panel width, panel phases omega h just below and above 1/6
+    grid, ts = _uniform(0.0, 1.0, 256)
     y = np.cos(ts)
-    lo = filon_exponential(y, ts, 40.0)   # theta just below 1/6
-    hi = filon_exponential(y, ts, 44.0)   # theta just above 1/6
+    lo = _filon(grid, y, 40.0)
+    hi = _filon(grid, y, 44.0)
 
     def exact(w):
         # cos t = (e^{it} + e^{-it}) / 2 against e^{iwt}
@@ -98,56 +113,6 @@ def test_filon_small_theta_series_consistent_with_closed_form():
 
     assert lo == pytest.approx(exact(40.0), abs=1e-8)
     assert hi == pytest.approx(exact(44.0), abs=1e-8)
-
-
-def test_oscillatory_integral_converges_to_analytic_value():
-    res = oscillatory_integral(lambda t: np.ones_like(t), 0.0, 5.0, -3.0,
-                               QuadratureConfig(tol=1e-10))
-    want = (np.exp(-15j) - 1.0) / (-3j)
-    assert res.value == pytest.approx(want, abs=1e-10)
-    assert res.n_intervals >= 32
-    assert res.error_estimate >= 0.0
-
-
-def test_oscillatory_integral_zero_span_and_zero_integrand():
-    res = oscillatory_integral(lambda t: np.ones_like(t), 1.0, 1.0, 2.0)
-    assert res.value == 0.0
-    res = oscillatory_integral(lambda t: np.zeros_like(t), 0.0, 1.0, 2.0)
-    assert res.value == 0.0
-
-
-def test_oscillatory_integral_validates_inputs():
-    with pytest.raises(ValueError):
-        oscillatory_integral(lambda t: t, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        oscillatory_integral(lambda t: t, 0.0, 1.0, 1.0, QuadratureConfig(scheme="gauss"))
-
-
-def test_oscillatory_integral_filon_matches_simpson():
-    f = lambda t: np.cos(0.3 * t) * (1 + 0.1 * t)  # noqa: E731
-    a = oscillatory_integral(f, 0.0, 20.0, -6.0,
-                             QuadratureConfig(scheme="adaptive-simpson", tol=1e-10))
-    b = oscillatory_integral(f, 0.0, 20.0, -6.0,
-                             QuadratureConfig(scheme="composite-filon", tol=1e-10))
-    assert a.value == pytest.approx(b.value, abs=1e-8)
-
-
-def test_discontinuous_integrand_needs_breakpoints():
-    t0 = 0.773  # never lands on a uniform grid node of [0, 2]
-
-    def step(t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t < t0, 1.0, -1.0)
-        return np.where(t == t0, 0.0, out)  # mean of one-sided limits
-
-    with pytest.raises(NumericalError) as info:
-        oscillatory_integral(step, 0.0, 2.0, -5.0, QuadratureConfig(max_doublings=6))
-    assert info.value.residual is not None
-
-    res = oscillatory_integral(step, 0.0, 2.0, -5.0, breakpoints=(t0,))
-    piece = lambda a, b: (np.exp(-5j * b) - np.exp(-5j * a)) / (-5j)  # noqa: E731
-    want = piece(0.0, t0) - piece(t0, 2.0)
-    assert res.value == pytest.approx(want, abs=1e-9)
 
 
 def test_refine_accepts_first_level_within_each_scale():
@@ -205,23 +170,27 @@ def test_block_grid_nodes_are_linspace_nodes():
     grid = BlockGrid(_BLOCKS)
     first, second = _pieces()
     np.testing.assert_array_equal(grid.ts, np.concatenate([first[:121], first[120:], second]))
-    np.testing.assert_array_equal(grid.first, [0, 121, 202, 213])
+    np.testing.assert_array_equal(grid.starts, [0, 121, 202])
+    np.testing.assert_array_equal(grid.ends, [120, 201, 212])
+    np.testing.assert_array_equal(grid.dx, [first[1] - first[0]] * 2 + [second[1] - second[0]])
 
 
 def test_block_grid_rules_match_single_grid_rules():
     grid = BlockGrid(_BLOCKS)
     f = _f(grid.ts)
     first, second = _pieces()
-    whole = composite_simpson(_f(first), first[1] - first[0])
-    tail = composite_simpson(_f(second), second[1] - second[0])
+    whole = simpson(_f(first), x=first)
+    tail = simpson(_f(second), x=second)
     np.testing.assert_allclose(grid.integral(f)[1:], [whole, whole + tail], rtol=1e-14)
     trap = grid.trapezoid(f)
     assert trap[1] == pytest.approx(np.trapezoid(_f(first), first), rel=1e-14)
-    for omega in (2.0, -2.0, 0.0):
+    # Filon: splitting a segment into blocks changes nothing
+    unsplit = [BlockGrid([(0.3, 17.0, 200, 0, 200)]), BlockGrid([(17.0, 20.0, 10, 0, 10)])]
+    for omega in (2.0, -2.0):
         w = abs(omega)
         filon = grid.integral(f, omega, np.cos(w * grid.ts), np.sin(w * grid.ts))
-        whole = filon_exponential(_f(first), first, omega)
-        tail = filon_exponential(_f(second), second, omega)
+        whole, tail = (g.integral(_f(g.ts), omega, np.cos(w * g.ts), np.sin(w * g.ts))[-1]
+                       for g in unsplit)
         np.testing.assert_allclose(filon[1:], [whole, whole + tail], rtol=1e-13)
 
 
@@ -229,10 +198,10 @@ def test_block_grid_cumulative_runs_across_blocks():
     grid = BlockGrid(_BLOCKS)
     cum = grid.cumulative(_f(grid.ts))
     first, second = _pieces()
-    ref = cumulative_simpson(_f(first), first[1] - first[0])
+    ref = cumulative_simpson(_f(first), x=first, initial=0.0)
     np.testing.assert_allclose(cum[:121], ref[:121], rtol=1e-13)
     np.testing.assert_allclose(cum[121:202], ref[120:], rtol=1e-13)
-    tail = ref[-1] + cumulative_simpson(_f(second), second[1] - second[0])
+    tail = ref[-1] + cumulative_simpson(_f(second), x=second, initial=0.0)
     np.testing.assert_allclose(cum[202:], tail, rtol=1e-13)
 
 

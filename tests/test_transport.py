@@ -183,8 +183,8 @@ def test_one_free_parameter_solve_is_the_global_minimum(params):
 
 def test_optimize_validates_budget_and_seed(params):
     problem = _poly_problem(params)
-    with pytest.raises(ValueError):
-        optimize(problem, budget=10)
+    with pytest.raises(ValueError, match="n_free \\+ 2 = 4"):
+        optimize(problem, budget=3)
     with pytest.raises(ValueError):
         optimize(problem, seed_params=np.zeros(5), budget=100)
 
@@ -193,6 +193,15 @@ def test_optimize_budget_must_cover_the_solve(params):
     # the solve needs n_free + 2 = 59 quadratures, more than the minimum 50
     with pytest.raises(ValueError):
         optimize(_poly_problem(params, degree=60), budget=50)
+
+
+def test_optimize_accepts_the_least_budget_that_covers_the_solve(params):
+    # n_free + 2 = 5 quadratures, far below any fixed floor
+    problem = _poly_problem(params, d=1.0, periods=1.3, degree=6)
+    solution = optimize(problem, budget=5, threshold=0.0)
+    assert solution.evaluations == 5
+    assert solution.residual <= 1e-20
+    verify_boundaries(solution.trajectory, problem)
 
 
 def test_quadratic_scaling_of_optimal_residual(params):
