@@ -6,7 +6,7 @@ Library layout:
 * :mod:`trapmotion.excitation` - the excitation amplitude u(t), the
   fixed-frame amplitude delta(t), one-pass time profiles of both, and all
   closed-form special cases;
-* :mod:`trapmotion.transitions` - Laguerre polynomials, Fock transition
+* :mod:`trapmotion.transitions` - one Laguerre kernel for Fock transition
   probabilities, coherent-state amplitudes, degenerate-level sums;
 * :mod:`trapmotion.oracle` - split-step grid propagation for independent
   verification of every analytic probability;
@@ -58,7 +58,6 @@ from .transitions import (
     TransitionTable,
     coherent_amplitude,
     degenerate_probability,
-    laguerre_assoc,
     multi_axis_probability,
     transition_amplitude,
     transition_probability,

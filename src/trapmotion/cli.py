@@ -124,29 +124,23 @@ class _Section:
         self.resolved[key] = value
         return value
 
-    def number(self, key: str, default=None) -> float | None:
+    def _parse(self, key: str, default, convert, what: str, show):
         if key not in self.data:
             if default is not None:
-                self.resolved.setdefault(key, _fmt(default))
+                self.resolved.setdefault(key, show(default))
             return default
         try:
-            out = float(self.data[key][0])
+            out = convert(self.data[key][0])
         except ValueError:
-            self._fail(key, "not a number")
-        self.resolved[key] = _fmt(out)
+            self._fail(key, f"not {what}")
+        self.resolved[key] = show(out)
         return out
 
+    def number(self, key: str, default=None) -> float | None:
+        return self._parse(key, default, float, "a number", _fmt)
+
     def integer(self, key: str, default=None) -> int | None:
-        if key not in self.data:
-            if default is not None:
-                self.resolved.setdefault(key, str(default))
-            return default
-        try:
-            out = int(self.data[key][0])
-        except ValueError:
-            self._fail(key, "not an integer")
-        self.resolved[key] = str(out)
-        return out
+        return self._parse(key, default, int, "an integer", str)
 
     def boolean(self, key: str, default=False) -> bool:
         if key not in self.data:
@@ -221,51 +215,58 @@ def build_params(scn: Scenario) -> OscillatorParams:
         raise ConfigError(f"[oscillator]: {err}") from err
 
 
-def build_trajectory(scn: Scenario, params: OscillatorParams,
-                     overrides: dict[str, float] | None = None) -> Trajectory:
+def _sinusoid_T(R, Omega, T, s):
+    if (T is None) == (s is None):
+        raise ConfigError("sinusoidal needs exactly one of T and s")
+    return 2.0 * math.pi * s / Omega if T is None else T
+
+
+def _sinusoid_gamma(params, R, Omega, T, s):
+    if s is not None and abs(Omega - params.omega) < exc.RESONANCE_DETUNING * params.omega:
+        return exc.closed_form_sinusoidal_resonance(R, params, s)
+    return exc.closed_form_sinusoidal(R, Omega, params, _sinusoid_T(R, Omega, T, s))
+
+
+#: family -> ([trajectory] keys it reads, how many of them it requires, its
+#: builder, and the label and closed form a sweep evaluates; no closed form
+#: means a quadrature to the end of the run)
+_FAMILIES = {
+    "constant_acceleration": (("a", "T"), 2, make_constant_acceleration, "gamma",
+                              lambda p, a, T: exc.closed_form_constant_accel(a, p, T)),
+    "kick": (("v", "T_a", "T", "stop_at"), 3, make_kick, "gamma",
+             lambda p, v, T_a, T, stop_at: exc.closed_form_kick_G(v, p) if stop_at is None
+             else exc.closed_form_kick_stop(v, p, stop_at)),
+    "sinusoidal": (("R", "Omega", "T", "s"), 2,
+                   lambda R, Omega, T, s: make_sinusoidal(R, Omega, _sinusoid_T(R, Omega, T, s)),
+                   "gamma", _sinusoid_gamma),
+    "circular": (("R", "Omega", "T_a", "s"), 4, make_circular, "w_s",
+                 lambda p, R, Omega, T_a, s: exc.closed_form_circular(R, Omega, p, s)),
+    "polynomial": (("coeffs", "T"), 2,
+                   lambda coeffs, T: make_polynomial([float(c) for c in coeffs.split(",")], T),
+                   "gamma", None),
+}
+
+
+def _trajectory(scn: Scenario, overrides: dict[str, float]):
+    """The family's table entry and its key values, with sweep overrides applied."""
     sec = scn.section("trajectory", required=True)
-    family = sec.string("family", choices=(
-        "constant_acceleration", "kick", "sinusoidal", "circular", "polynomial"))
+    family = sec.string("family", choices=tuple(_FAMILIES))
     if family is None:
         raise ConfigError("[trajectory] needs a family")
+    keys, required, *_ = entry = _FAMILIES[family]
+    values = [overrides[key] if key in overrides
+              else sec.string(key) if key == "coeffs" else sec.number(key) for key in keys]
+    if None in values[:required]:
+        *head, last = keys[:required]
+        raise ConfigError(f"{family} needs {', '.join(head)}{',' * (required > 2)} and {last}")
+    return entry, values
 
-    def num(key, default=None):
-        if overrides and key in overrides:
-            return overrides[key]
-        return sec.number(key, default)
 
+def build_trajectory(scn: Scenario, params: OscillatorParams,
+                     overrides: dict[str, float] | None = None) -> Trajectory:
+    (_, _, build, _, _), values = _trajectory(scn, overrides or {})
     try:
-        if family == "constant_acceleration":
-            a, T = num("a"), num("T")
-            if a is None or T is None:
-                raise ConfigError("constant_acceleration needs a and T")
-            return make_constant_acceleration(a, T)
-        if family == "kick":
-            v, T_a, T = num("v"), num("T_a"), num("T")
-            if v is None or T_a is None or T is None:
-                raise ConfigError("kick needs v, T_a, and T")
-            return make_kick(v, T_a, T, stop_at=num("stop_at"))
-        if family == "sinusoidal":
-            R, Omega, T, s = num("R"), num("Omega"), num("T"), num("s")
-            if R is None or Omega is None:
-                raise ConfigError("sinusoidal needs R and Omega")
-            if (T is None) == (s is None):
-                raise ConfigError("sinusoidal needs exactly one of T and s")
-            if T is None:
-                T = 2.0 * math.pi * s / Omega
-            return make_sinusoidal(R, Omega, T)
-        if family == "circular":
-            R, Omega, T_a, s = num("R"), num("Omega"), num("T_a"), num("s")
-            if None in (R, Omega, T_a, s):
-                raise ConfigError("circular needs R, Omega, T_a, and s")
-            return make_circular(R, Omega, T_a, s)
-        # polynomial
-        coeffs_raw = sec.string("coeffs")
-        T = num("T")
-        if coeffs_raw is None or T is None:
-            raise ConfigError("polynomial needs coeffs and T")
-        coeffs = [float(c) for c in coeffs_raw.split(",")]
-        return make_polynomial(coeffs, T)
+        return build(*values)
     except ValueError as err:
         raise ConfigError(f"[trajectory]: {err}") from err
 
@@ -323,10 +324,8 @@ def cmd_excite(scn: Scenario, out) -> int:
     print("t,re_u,im_u,gamma,phi,delta_sq", file=out)
     for t, u, gamma, phi, delta in zip(times, prof.u.tolist(), prof.gamma.tolist(), phis,
                                        prof.delta.tolist()):
-        print(
-            f"{_fmt(t)},{_fmt(u.real)},{_fmt(u.imag)},{_fmt(gamma)},{phi},{_fmt(abs(delta) ** 2)}",
-            file=out,
-        )
+        print(f"{_fmt(t)},{_fmt(u.real)},{_fmt(u.imag)},{_fmt(gamma)},{phi},"
+              f"{_fmt(abs(delta) ** 2)}", file=out)
     return 0
 
 
@@ -348,17 +347,12 @@ def cmd_probs(scn: Scenario, out) -> int:
             for m in range(max_level + 1):
                 row_sum = math.fsum(table.probs[m])
                 if table.tail_bounds[m] > tail_epsilon:
-                    print(
-                        f"# warning: t = {_fmt(t)}, row m = {m} leaves "
-                        f"{_fmt(table.tail_bounds[m])} beyond max_level; raise max_level",
-                        file=sys.stderr,
-                    )
+                    print(f"# warning: t = {_fmt(t)}, row m = {m} leaves "
+                          f"{_fmt(table.tail_bounds[m])} beyond max_level; raise max_level",
+                          file=sys.stderr)
                 for n in range(max_level + 1):
-                    print(
-                        f"{_fmt(t)},{_fmt(gamma)},{m},{n},{_fmt(table.probs[m, n])},"
-                        f"{_fmt(row_sum)},{_fmt(table.tail_bounds[m])}",
-                        file=out,
-                    )
+                    print(f"{_fmt(t)},{_fmt(gamma)},{m},{n},{_fmt(table.probs[m, n])},"
+                          f"{_fmt(row_sum)},{_fmt(table.tail_bounds[m])}", file=out)
         return 0
     print("t,w,m_level,n_level,prob_sum,prob_avg", file=out)
     for t in times:
@@ -369,11 +363,8 @@ def cmd_probs(scn: Scenario, out) -> int:
             for n_level in range(max_level + 1):
                 p_sum = trans.degenerate_probability(m_level, n_level, spec, convention="sum")
                 p_avg = trans.degenerate_probability(m_level, n_level, spec, convention="average")
-                print(
-                    f"{_fmt(t)},{_fmt(spec.w)},{m_level},{n_level},"
-                    f"{_fmt(p_sum)},{_fmt(p_avg)}",
-                    file=out,
-                )
+                print(f"{_fmt(t)},{_fmt(spec.w)},{m_level},{n_level},{_fmt(p_sum)},{_fmt(p_avg)}",
+                      file=out)
     return 0
 
 
@@ -412,11 +403,8 @@ def cmd_oracle(scn: Scenario, out) -> int:
             analytic = trans.transition_probability(0, n, gamma)
             dev = abs(analytic - grid_probs[n])
             max_dev = max(max_dev, dev)
-            print(
-                f"{_fmt(t)},{n},{_fmt(analytic)},{_fmt(grid_probs[n])},{_fmt(dev)},"
-                f"{_fmt(gamma)},{_fmt(delta_sq)}",
-                file=out,
-            )
+            print(f"{_fmt(t)},{n},{_fmt(analytic)},{_fmt(grid_probs[n])},{_fmt(dev)},"
+                  f"{_fmt(gamma)},{_fmt(delta_sq)}", file=out)
     norm_drift = abs(state.norm() - 1.0)
     print(f"# max_abs_deviation = {_fmt(max_dev)}", file=out)
     print(f"# delta_sq_vs_gamma_max = {_fmt(delta_vs_gamma)}", file=out)
@@ -430,34 +418,11 @@ def cmd_oracle(scn: Scenario, out) -> int:
 
 def _sweep_value(scn: Scenario, params: OscillatorParams, cfg,
                  overrides: dict[str, float]) -> tuple[str, float]:
-    sec = scn.section("trajectory")
-    family = sec.string("family")
-
-    def num(key, default=None):
-        if key in overrides:
-            return overrides[key]
-        return sec.number(key, default)
-
-    if family == "constant_acceleration":
-        return "gamma", exc.closed_form_constant_accel(num("a"), params, num("T"))
-    if family == "kick":
-        stop_at = num("stop_at")
-        if stop_at is not None:
-            return "gamma", exc.closed_form_kick_stop(num("v"), params, stop_at)
-        return "gamma", exc.closed_form_kick_G(num("v"), params)
-    if family == "sinusoidal":
-        R, Omega, s = num("R"), num("Omega"), num("s")
-        if s is not None:
-            if abs(Omega - params.omega) < exc.RESONANCE_DETUNING * params.omega:
-                return "gamma", exc.closed_form_sinusoidal_resonance(R, params, s)
-            return "gamma", exc.closed_form_sinusoidal(R, Omega, params, 2.0 * math.pi * s / Omega)
-        return "gamma", exc.closed_form_sinusoidal(R, Omega, params, num("T"))
-    if family == "circular":
-        return "w_s", exc.closed_form_circular(num("R"), num("Omega"), params, num("s"))
-    # polynomial: no closed form; quadrature at the end of the run
+    (_, _, _, label, closed_form), values = _trajectory(scn, overrides)
+    if closed_form is not None:
+        return label, closed_form(params, *values)
     traj = build_trajectory(scn, params, overrides)
-    res = exc.excitation_amplitude(traj, params, traj.duration, cfg, with_phase=False)
-    return "gamma", res.gamma
+    return label, exc.excitation_amplitude(traj, params, traj.duration, cfg, with_phase=False).gamma
 
 
 def cmd_sweep(scn: Scenario, out) -> int:
@@ -534,17 +499,19 @@ def cmd_transport(scn: Scenario, out) -> int:
     print(f"# converged = {'yes' if solution.converged else 'no'}", file=out)
     samples = sec.integer("samples", default=201)
     ax = solution.trajectory.axes[0]
+    times = np.linspace(0.0, duration, samples)
     print("t,b,b_dot,b_ddot", file=out)
-    for t in np.linspace(0.0, duration, samples):
-        print(
-            f"{_fmt(t)},{_fmt(float(ax.b(t)))},{_fmt(float(ax.bdot(t)))},"
-            f"{_fmt(float(ax.bddot(t)))}",
-            file=out,
-        )
+    for row in zip(times.tolist(), ax.b(times).tolist(), ax.bdot(times).tolist(),
+                   ax.bddot(times).tolist()):
+        print(",".join(_fmt(x) for x in row), file=out)
     return 0
 
 
 # --- entry point -------------------------------------------------------------
+
+_COMMANDS = {"excite": cmd_excite, "probs": cmd_probs, "oracle": cmd_oracle,
+             "sweep": cmd_sweep, "transport": cmd_transport}
+
 
 def _load_config_text(path: str) -> str:
     if path.startswith("demo:"):
@@ -566,7 +533,7 @@ def main(argv=None) -> int:
         description="Excitation of a harmonic trap with a moving center.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("excite", "probs", "oracle", "sweep", "transport"):
+    for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True,
                          help="scenario file, or demo:NAME for a bundled scenario")
@@ -579,16 +546,7 @@ def main(argv=None) -> int:
         scn = Scenario(parse_config(_load_config_text(args.config)))
         sink = open(args.out, "w", encoding="ascii", newline="\n") if args.out else sys.stdout
         try:
-            if args.command == "excite":
-                code = cmd_excite(scn, sink)
-            elif args.command == "probs":
-                code = cmd_probs(scn, sink)
-            elif args.command == "oracle":
-                code = cmd_oracle(scn, sink)
-            elif args.command == "sweep":
-                code = cmd_sweep(scn, sink)
-            else:
-                code = cmd_transport(scn, sink)
+            code = _COMMANDS[args.command](scn, sink)
         finally:
             if args.out:
                 sink.close()

@@ -19,7 +19,7 @@ class NumericalError(TrapmotionError):
 
 class ResourceError(TrapmotionError):
     """A computation would exceed a configured resource bound (grid extent,
-    enumeration size, propagation domain)."""
+    propagation domain)."""
 
 
 class ResonanceError(TrapmotionError, ValueError):

@@ -6,59 +6,39 @@ parameter is gamma, the level-to-level transition probabilities are
     P_mn = (mu! / nu!) * gamma^|m-n| * e^{-gamma} * [L_mu^{(|m-n|)}(gamma)]^2,
 
 with mu = min(m, n), nu = max(m, n) and L the associated Laguerre polynomial.
-Rows are complete (sum over n is 1) and the matrix is symmetric; the m = 0
-row is the Poisson distribution with mean gamma.
-
-Multi-axis probabilities are products of the per-axis factors. Total
-probabilities between degenerate energy levels of an isotropic N-dimensional
-oscillator are obtained by explicit enumeration over the degenerate
-multiplets; no closed form exists in general (substituting the total
-excitation w for gamma in P_mn is wrong already for the 1 -> 2 transition in
-two dimensions).
+Rows are complete (sum over n is 1), the matrix is symmetric and the m = 0
+row is the Poisson distribution with mean gamma. One kernel gives every
+number: the degree recurrence for L runs over many (mu, d) lanes at once,
+rescaled by powers of two, and P is assembled in log space, so no level or
+gamma overflows. Multi-axis probabilities are products over axes; totals
+between degenerate levels have no closed form in general (w in place of
+gamma is wrong already for 1 -> 2 in two dimensions).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ResourceError
-
-# Direct (non-log) evaluation limits: largest falling factorial that stays a
-# float, and the exponent range where gamma^d * e^{-gamma} cannot flush.
-_DIRECT_NU_MAX = 170
-_DIRECT_GAMMA_MAX = 700.0
+from .errors import NumericalError
 
 #: Hard cap on the truncation search in transition_row.
 ROW_LIMIT = 1_000_000
 
-
-def laguerre_assoc(n: int, alpha: int, x: float) -> float:
-    """Associated Laguerre polynomial L_n^{(alpha)}(x) for integer n, alpha >= 0.
-
-    Uses the stable three-term recurrence
-    L_k = [(2k - 1 + alpha - x) L_{k-1} - (k - 1 + alpha) L_{k-2}] / k,
-    and raises NumericalError when it leaves the float range.
-    """
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise ValueError(f"degree must be a non-negative integer, got {n!r}")
-    if not (isinstance(alpha, (int, np.integer)) and alpha >= 0):
-        raise ValueError(f"alpha must be a non-negative integer, got {alpha!r}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"x must be finite and non-negative, got {x!r}")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    curr = 1.0 + alpha - x
-    for k in range(2, n + 1):
-        prev, curr = curr, ((2.0 * k - 1.0 + alpha - x) * curr - (k - 1.0 + alpha) * prev) / k
-    # once a term overflows the rest are inf or NaN, so checking the last suffices
-    if not math.isfinite(curr):
-        raise NumericalError(f"L_{n}^({alpha})({x!r}) overflows a float")
-    return curr
+# Lanes past 2^500 are divided by 2^500 at every 8th degree. A step grows a lane
+# at most (3 + 2 alpha + x)-fold, so none overflows in between for alpha + x < 1e19.
+_BIG = 2.0 ** 500
+_LOG_BIG = 500 * math.log(2.0)
+_CHECK_EVERY = 8
+# Lane values assembled at once by rows and tables, which bounds their memory.
+_BLOCK = 1024
+# n! is a finite float for n <= 170.
+_FACTORIAL_MAX = 170
 
 
 def _check_level(name: str, value: int) -> int:
@@ -67,38 +47,90 @@ def _check_level(name: str, value: int) -> int:
     return int(value)
 
 
+def _check_gamma(gamma: float) -> float:
+    if not math.isfinite(gamma) or gamma < 0.0:
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma!r}")
+    return float(gamma)
+
+
+def _laguerre(alphas, x, top: int):
+    """Yield (k, mantissas, rescale counts c) of L_k^{(alpha)}(x) for k <= top.
+
+    ``alphas`` and ``x`` broadcast to the lanes; L = mantissa 2^(500 c). One
+    lane given as numbers runs on Python floats, the same IEEE arithmetic as
+    an array lane. Yielded arrays are never modified afterwards.
+    """
+    alpha = np.asarray(alphas, dtype=float)
+    coef = alpha - x
+    if coef.ndim == 0:
+        coef, alpha, prev, curr, count = float(coef), float(alpha), 0.0, 1.0, 0.0
+    else:
+        prev, curr, count = np.zeros_like(coef), np.ones_like(coef), np.zeros_like(coef)
+    yield 0, curr, count
+    for k in range(1, top + 1):   # L_{-1} = 0 makes k = 1 the general step
+        prev, curr = curr, ((coef + (2 * k - 1)) * curr - (alpha + (k - 1)) * prev) / k
+        if k % _CHECK_EVERY == 0 and np.abs(curr).max() > _BIG:
+            big = np.abs(curr) > _BIG
+            prev, curr = np.where(big, prev / _BIG, prev), np.where(big, curr / _BIG, curr)
+            count = count + big
+        yield k, curr, count
+
+
+def _log_factorials(top: int) -> np.ndarray:
+    return np.fromiter((math.lgamma(k + 1.0) for k in range(top + 1)), float, top + 1)
+
+
+def _log_probabilities(mu, d, gamma, mant, count, log_fact):
+    """log P of lanes (mu, d, gamma), -inf where P = 0, from log_fact[k] = log k!.
+
+    Accumulated in place, so large blocks hold few temporaries. Rounding can
+    lift a P of 1 just above 1, so log P is capped at 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(np.abs(mant))
+        log_p += count * _LOG_BIG
+        log_p *= 2.0
+        log_p += np.where(d > 0, d * np.log(gamma), 0.0) - gamma   # 0 log 0 = 0
+    if not log_p.max() < math.inf:
+        raise NumericalError("the Laguerre recurrence left the float range")
+    log_p += log_fact[mu]
+    log_p -= log_fact[mu + d]
+    return np.minimum(log_p, 0.0)
+
+
+def _lane(mu: int, d: int, gamma: float):
+    """log P_mn and the Laguerre mantissa (whose sign L has) of one lane."""
+    for _, mant, count in _laguerre(d, gamma, mu):
+        pass
+    log_fact = {k: math.lgamma(k + 1.0) for k in (mu, mu + d)}   # the two log k! it needs
+    return _log_probabilities(mu, d, gamma, mant, count, log_fact), mant
+
+
+def _ground(gamma: float, probs, ns) -> list:
+    """probs of the lanes mu = 0, d = n (n ascending), replaced by the literal
+    Poisson mass e^-gamma gamma^n / n! wherever every factor is a normal float."""
+    head, out = math.exp(-gamma), list(probs)
+    for i, n in enumerate(ns):
+        if n > _FACTORIAL_MAX or head < sys.float_info.min:
+            break
+        try:
+            out[i] = head * gamma ** n / math.factorial(n)
+        except OverflowError:   # gamma^n, and so every later n
+            break
+    return out
+
+
 def transition_probability(m: int, n: int, gamma: float) -> float:
     """Probability of the Fock transition m -> n at excitation parameter gamma.
 
-    Small cases are evaluated directly (the m = 0 row then reproduces the
-    Poisson mass function bit for bit); large factorials or extreme gamma
-    switch to log-space assembly.
+    m = 0 or n = 0 reproduces the Poisson mass function bit for bit wherever
+    e^-gamma, gamma^n and n! are floats.
     """
-    m = _check_level("m", m)
-    n = _check_level("n", n)
-    if not math.isfinite(gamma) or gamma < 0.0:
-        raise ValueError(f"gamma must be finite and non-negative, got {gamma!r}")
-    if gamma == 0.0:
-        return 1.0 if m == n else 0.0
-    mu, nu = (m, n) if m <= n else (n, m)
-    d = nu - mu
-    lag = laguerre_assoc(mu, d, gamma)
-    if lag == 0.0:
-        return 0.0
-    if nu <= _DIRECT_NU_MAX and gamma <= _DIRECT_GAMMA_MAX:
-        try:
-            falling = math.factorial(nu) // math.factorial(mu)
-            return math.exp(-gamma) * gamma ** d * (lag * lag) / falling
-        except OverflowError:
-            pass
-    log_p = (
-        math.lgamma(mu + 1)
-        - math.lgamma(nu + 1)
-        + d * math.log(gamma)
-        - gamma
-        + 2.0 * math.log(abs(lag))
-    )
-    return math.exp(log_p)
+    m, n = _check_level("m", m), _check_level("n", n)
+    gamma = _check_gamma(gamma)
+    mu, d = min(m, n), abs(n - m)
+    p = float(np.exp(_lane(mu, d, gamma)[0]))
+    return _ground(gamma, [p], [d])[0] if mu == 0 else p
 
 
 @dataclass(frozen=True)
@@ -111,6 +143,26 @@ class TransitionRow:
     tail_bound: float
 
 
+def _row(m: int, gamma: float, size: int) -> np.ndarray:
+    # lane n of a block has d = |n - m| and degree min(n, m), rising with n:
+    # lanes n < m are read at step n, the rest after the last step
+    log_fact = _log_factorials(max(m, size))
+    probs = np.empty(size)
+    for lo in range(0, size, _BLOCK):
+        n = np.arange(lo, min(lo + _BLOCK, size))
+        mu, d = np.minimum(n, m), np.abs(n - m)
+        below = max(0, min(m - lo, len(n)))
+        mant, count = np.empty((2, len(n)))
+        for k, lane_mant, lane_count in _laguerre(d, gamma, int(mu[-1])):
+            if lo <= k < lo + below:
+                mant[k - lo], count[k - lo] = lane_mant[k - lo], lane_count[k - lo]
+        mant[below:], count[below:] = lane_mant[below:], lane_count[below:]
+        probs[n] = np.exp(_log_probabilities(mu, d, gamma, mant, count, log_fact))
+    ground = 1 if m else min(size, _FACTORIAL_MAX + 1)   # lanes with mu = 0 and a literal
+    probs[:ground] = _ground(gamma, probs[:ground], [m] if m else range(ground))
+    return probs
+
+
 def transition_row(m: int, gamma: float, tail_epsilon: float = 1e-8) -> TransitionRow:
     """Row P_m,0..N* truncated where the remaining mass drops below tail_epsilon.
 
@@ -121,28 +173,17 @@ def transition_row(m: int, gamma: float, tail_epsilon: float = 1e-8) -> Transiti
     m = _check_level("m", m)
     if not (0.0 < tail_epsilon <= 1e-3):
         raise ValueError(f"tail_epsilon must lie in (0, 1e-3], got {tail_epsilon!r}")
-    if not math.isfinite(gamma) or gamma < 0.0:
-        raise ValueError(f"gamma must be finite and non-negative, got {gamma!r}")
+    gamma = _check_gamma(gamma)
     mean = gamma + m
-    guess = int(math.ceil(mean + 10.0 * math.sqrt(mean + 1.0) + 20.0))
-    if guess > ROW_LIMIT:
-        raise NumericalError(
-            f"transition row for m={m}, gamma={gamma} would need more than "
-            f"{ROW_LIMIT} levels"
-        )
-    probs = [transition_probability(m, n, gamma) for n in range(guess + 1)]
-    total = math.fsum(probs)
+    size, total = int(math.ceil(mean + 10.0 * math.sqrt(mean + 1.0) + 20.0)) + 1, 0.0
     while 1.0 - total >= tail_epsilon:
-        extend_to = 2 * len(probs)
-        if extend_to > ROW_LIMIT:
+        if size > ROW_LIMIT:
             raise NumericalError(
-                f"transition row for m={m}, gamma={gamma} did not reach the "
-                f"tail target within {ROW_LIMIT} levels",
-                residual=1.0 - total,
-            )
-        probs.extend(transition_probability(m, n, gamma) for n in range(len(probs), extend_to))
-        total = math.fsum(probs)
-    return TransitionRow(m, gamma, np.asarray(probs), max(0.0, 1.0 - total))
+                f"transition row for m={m}, gamma={gamma} does not reach the "
+                f"tail target within {ROW_LIMIT} levels", residual=1.0 - total)
+        probs = _row(m, gamma, size)
+        total, size = math.fsum(probs), 2 * size
+    return TransitionRow(m, gamma, probs, max(0.0, 1.0 - total))
 
 
 @dataclass(frozen=True)
@@ -155,18 +196,38 @@ class TransitionTable:
     tail_bounds: np.ndarray
 
 
+def _tables(gammas, max_level: int) -> np.ndarray:
+    # P_mn, m, n <= max_level, per gamma: lane d = n - m gives (k, k + d) at
+    # degree k, written to the upper triangle and mirrored, so symmetry is exact
+    size = max_level + 1
+    d = np.arange(size)
+    gammas = np.asarray(gammas, dtype=float)[:, None]
+    log_fact = _log_factorials(2 * size)
+    probs = np.empty((len(gammas), size, size))
+    rows = max(1, _BLOCK // (len(gammas) * size))   # degrees assembled at once
+    mant, count = np.empty((2, rows, len(gammas), size))
+    for k, lane_mant, lane_count in _laguerre(d, gammas, max_level):
+        mant[k % rows], count[k % rows] = lane_mant, lane_count
+        if k % rows == rows - 1 or k == max_level:   # the block of degrees top..k is full
+            top = k - k % rows
+            ks, width = np.arange(top, k + 1), size - top   # lanes d < width reach them
+            grid = np.exp(_log_probabilities(ks[:, None, None], d[:width], gammas,
+                                             mant[:len(ks), :, :width], count[:len(ks), :, :width],
+                                             log_fact))
+            if top == 0:   # degree 0 holds the lanes with mu = 0
+                for axis, gamma in enumerate(gammas[:, 0].tolist()):
+                    grid[0, axis] = _ground(gamma, grid[0, axis], range(width))
+            for row, j in zip(grid, ks.tolist()):
+                probs[:, j, j:] = probs[:, j:, j] = row[:, :size - j]
+    return probs
+
+
 def transition_table(gamma: float, max_level: int) -> TransitionTable:
     """All P_mn for m, n <= max_level; symmetry holds exactly by construction."""
     max_level = _check_level("max_level", max_level)
-    size = max_level + 1
-    probs = np.zeros((size, size))
-    for m in range(size):
-        for n in range(m, size):
-            p = transition_probability(m, n, gamma)
-            probs[m, n] = p
-            probs[n, m] = p
-    row_sums = np.array([math.fsum(probs[m]) for m in range(size)])
-    tails = np.maximum(0.0, 1.0 - row_sums)
+    gamma = _check_gamma(gamma)
+    probs = _tables([gamma], max_level)[0]
+    tails = np.maximum(0.0, 1.0 - np.array([math.fsum(row) for row in probs]))
     return TransitionTable(gamma, max_level, probs, tails)
 
 
@@ -181,9 +242,7 @@ def coherent_amplitude(alpha: complex, beta: complex, u: complex, phi: float) ->
             raise ValueError(f"{name} must be finite, got {z!r}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    alpha = complex(alpha)
-    beta = complex(beta)
-    u = complex(u)
+    alpha, beta, u = complex(alpha), complex(beta), complex(u)
     exponent = (
         alpha * beta.conjugate()
         + alpha * u
@@ -201,33 +260,29 @@ def transition_amplitude(m: int, n: int, u: complex, phi: float = 0.0) -> comple
     Extracted from the coherent-state generating function: for n >= m,
     A_mn = sqrt(m!/n!) (-u*)^{n-m} L_m^{(n-m)}(gamma) e^{-gamma/2 - i phi},
     and the m > n case follows from the same series with u in place of -u*.
+    The modulus is sqrt(P_mn), the sign that of L.
     """
-    m = _check_level("m", m)
-    n = _check_level("n", n)
+    m, n = _check_level("m", m), _check_level("n", n)
     u = complex(u)
+    mu, d = min(m, n), abs(n - m)
     gamma = abs(u) ** 2
-    mu, nu = (m, n) if m <= n else (n, m)
-    d = nu - mu
-    lag = laguerre_assoc(mu, d, gamma)
-    root = math.exp(0.5 * (math.lgamma(mu + 1) - math.lgamma(nu + 1)))
-    core = (-u.conjugate()) ** d if n >= m else u ** d
-    return root * core * lag * cmath.exp(-0.5 * gamma - 1j * phi)
+    log_p, mant = _lane(mu, d, gamma)
+    amp = math.copysign(math.exp(0.5 * log_p), mant) * cmath.exp(-1j * phi)
+    if amp and d:
+        core = -u.conjugate() if n >= m else u
+        amp *= (core / abs(core)) ** d
+    return amp
 
 
 def multi_axis_probability(m, n, per_axis_gamma) -> float:
     """Product of per-axis transition probabilities for Cartesian Fock states."""
-    m = tuple(m)
-    n = tuple(n)
-    gammas = tuple(per_axis_gamma)
+    m, n, gammas = tuple(m), tuple(n), tuple(per_axis_gamma)
     if not (len(m) == len(n) == len(gammas)):
         raise ValueError(
             f"length mismatch: m has {len(m)}, n has {len(n)}, "
             f"gammas has {len(gammas)}"
         )
-    p = 1.0
-    for mi, ni, gi in zip(m, n, gammas):
-        p *= transition_probability(mi, ni, gi)
-    return p
+    return math.prod(transition_probability(mi, ni, gi) for mi, ni, gi in zip(m, n, gammas))
 
 
 @dataclass(frozen=True)
@@ -250,18 +305,14 @@ class DegenerateSpec:
         return math.fsum(self.axis_gammas)
 
 
-def _compositions(total: int, parts: int):
-    # all ordered splits of `total` into `parts` non-negative integers
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-#: Enumeration guard: product of the two multiplet sizes must stay below this.
-ENUMERATION_LIMIT = 10_000_000
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # coefficients of a(x, y) b(x, y) up to the degrees of a, by one direct
+    # convolution; rows padded to 2 cols - 1 keep powers of y from carrying
+    rows, cols = a.shape
+    padded = np.zeros((2, rows, 2 * cols - 1))
+    padded[0, :, :cols], padded[1, :, :cols] = a, b
+    flat = np.convolve(padded[0].ravel(), padded[1].ravel())[:padded[0].size]
+    return flat.reshape(rows, -1)[:, :cols]
 
 
 def degenerate_probability(m_level: int, n_level: int, spec: DegenerateSpec,
@@ -269,9 +320,10 @@ def degenerate_probability(m_level: int, n_level: int, spec: DegenerateSpec,
                            convention: str = "sum") -> float:
     """Total transition probability between degenerate energy levels.
 
-    Enumerates every multi-index with level sums m_level and n_level and adds
-    up the product-form probabilities. ``convention`` selects how the
-    degenerate *initial* multiplet is handled:
+    The sum of the product-form probabilities over every multi-index pair
+    with level sums m_level and n_level: the x^m_level y^n_level coefficient
+    of the product over axes of sum_mn P_mn x^m y^n. ``convention`` selects
+    how the degenerate *initial* multiplet is handled:
 
     * ``"sum"`` adds the contributions of every initial substate (the form
       usually quoted for low levels, e.g. the 2-D closed forms in w);
@@ -283,8 +335,7 @@ def degenerate_probability(m_level: int, n_level: int, spec: DegenerateSpec,
     per-axis split matters only through w as well, but the w-dependence does
     not coincide with the one-dimensional formula.
     """
-    m_level = _check_level("m_level", m_level)
-    n_level = _check_level("n_level", n_level)
+    m_level, n_level = _check_level("m_level", m_level), _check_level("n_level", n_level)
     if convention not in ("sum", "average"):
         raise ValueError(f"convention must be 'sum' or 'average', got {convention!r}")
     N = len(spec.axis_gammas) if dimension is None else int(dimension)
@@ -293,19 +344,10 @@ def degenerate_probability(m_level: int, n_level: int, spec: DegenerateSpec,
             f"dimension {N} does not match the {len(spec.axis_gammas)} axis "
             "parameters supplied"
         )
-    m_count = math.comb(m_level + N - 1, N - 1)
-    n_count = math.comb(n_level + N - 1, N - 1)
-    if m_count * n_count > ENUMERATION_LIMIT:
-        raise ResourceError(
-            f"degenerate enumeration would visit {m_count * n_count} index "
-            f"pairs (limit {ENUMERATION_LIMIT})"
-        )
-    gammas = spec.axis_gammas
-    total = math.fsum(
-        multi_axis_probability(mvec, nvec, gammas)
-        for mvec in _compositions(m_level, N)
-        for nvec in _compositions(n_level, N)
-    )
+    blocks = _tables(spec.axis_gammas, max(m_level, n_level))[:, :m_level + 1, :n_level + 1]
+    # the last axis only adds to the x^m_level y^n_level coefficient
+    acc = functools.reduce(_product, blocks[1:-1], blocks[0])
+    total = float(acc[-1, -1] if N == 1 else np.sum(acc * blocks[-1][::-1, ::-1]))
     if convention == "average":
-        total /= m_count
+        total /= math.comb(m_level + N - 1, N - 1)
     return total

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,8 @@ from scipy.special import eval_genlaguerre
 
 from trapmotion import (
     DegenerateSpec,
-    ResourceError,
     coherent_amplitude,
     degenerate_probability,
-    laguerre_assoc,
     multi_axis_probability,
     transition_amplitude,
     transition_probability,
@@ -21,44 +20,63 @@ from trapmotion import (
 from trapmotion.errors import NumericalError
 
 
-# --- associated Laguerre polynomials ------------------------------------------------
+def _mp_probability(m, n, gamma):
+    # P_mn at 50 significant digits, independently of the package
+    with mpmath.workdps(50):
+        mu, nu = min(m, n), max(m, n)
+        g = mpmath.mpf(gamma)
+        lag = mpmath.laguerre(mu, nu - mu, g)
+        return mpmath.factorial(mu) / mpmath.factorial(nu) * g ** (nu - mu) * mpmath.exp(-g) * lag ** 2
+
+
+# --- associated Laguerre polynomials, read back from the amplitudes -------------------
+
+def _laguerre(n, alpha, x):
+    # A_{n,n+alpha}(u) = sqrt(n!/(n+alpha)!) (-u*)^alpha L_n^(alpha)(|u|^2) e^{-|u|^2/2};
+    # u = -sqrt(x) makes every factor but L real and positive
+    amp = transition_amplitude(n, n + alpha, complex(-math.sqrt(x)))
+    assert amp.imag == 0.0
+    scale = math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + alpha + 1)
+                            + alpha * math.log(x) - x))
+    return amp.real / scale
+
 
 def test_laguerre_degree_zero_is_one():
     for alpha in (0, 1, 7):
-        assert laguerre_assoc(0, alpha, 3.7) == 1.0
+        assert _laguerre(0, alpha, 3.7) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_laguerre_degree_one_closed_form():
-    # L_1^{(alpha)}(x) = 1 + alpha - x
-    assert laguerre_assoc(1, 1, 2.0) == 0.0
-    assert laguerre_assoc(1, 3, 1.5) == pytest.approx(2.5, rel=1e-15)
+    # L_1^{(alpha)}(x) = 1 + alpha - x; x = 4 and 2.25 are exact squares
+    assert transition_amplitude(1, 4, -2.0) == 0.0
+    assert _laguerre(1, 3, 2.25) == pytest.approx(1.75, rel=1e-14)
 
 
 def test_laguerre_degree_two_explicit_series():
     # L_2(x) = 1 - 2x + x^2/2 evaluated independently of the recurrence
     x = 1.0
     series = 1.0 - 2.0 * x + x ** 2 / 2.0
-    assert laguerre_assoc(2, 0, x) == pytest.approx(series, rel=1e-15)
+    assert _laguerre(2, 0, x) == pytest.approx(series, rel=1e-14)
     assert series == -0.5
 
 
 def test_laguerre_input_validation():
     with pytest.raises(ValueError):
-        laguerre_assoc(-1, 0, 1.0)
+        transition_amplitude(-1, 0, 1.0)
     with pytest.raises(ValueError):
-        laguerre_assoc(1, -2, 1.0)
+        transition_amplitude(1, -2, 1.0)
     with pytest.raises(ValueError):
-        laguerre_assoc(1, 0, -1.0)
+        transition_amplitude(1.5, 0, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(0, 40),
     alpha=st.integers(0, 12),
-    x=st.floats(0.0, 60.0),
+    x=st.floats(1e-6, 60.0),
 )
 def test_laguerre_matches_scipy(n, alpha, x):
-    ours = laguerre_assoc(n, alpha, x)
+    ours = _laguerre(n, alpha, x)
     ref = float(eval_genlaguerre(n, alpha, x))
     assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9 * (1 + abs(ref)))
 
@@ -118,20 +136,18 @@ def test_row_completeness(m, gamma):
 
 
 def test_log_space_path_consistent_with_direct():
-    # straddle the direct-evaluation cutoff with reachable numbers
-    gamma = 9.0
-    for m, n in [(2, 180), (180, 2), (175, 176)]:
-        p = transition_probability(m, n, gamma)
-        assert 0.0 <= p <= 1.0
-    # compare a moderately large case against exact rational arithmetic
+    # every probability is assembled in log space; compare against exact
+    # rational arithmetic through the explicit Laguerre series
     from fractions import Fraction
 
-    m, n, gamma = 3, 172, 2.0
-    mu, d = m, n - m
-    lag = laguerre_assoc(mu, d, gamma)
-    ratio = Fraction(math.factorial(mu), math.factorial(n))
-    want = float(ratio) * gamma ** d * math.exp(-gamma) * lag * lag
-    assert transition_probability(m, n, gamma) == pytest.approx(want, rel=1e-12)
+    for m, n, gamma in [(3, 172, 2), (2, 180, 9), (175, 176, 9), (12, 20, 1)]:
+        mu, d = min(m, n), abs(n - m)
+        g = Fraction(gamma)
+        lag = sum((-1) ** j * math.comb(mu + d, mu - j) * g ** j / math.factorial(j)
+                  for j in range(mu + 1))
+        exact = Fraction(math.factorial(mu), math.factorial(mu + d)) * g ** d * lag * lag
+        want = float(exact) * math.exp(-gamma)
+        assert transition_probability(m, n, float(gamma)) == pytest.approx(want, rel=1e-12)
 
 
 # --- rows and tables ------------------------------------------------------------------
@@ -313,10 +329,42 @@ def test_degenerate_dimension_and_convention_validation():
         degenerate_probability(0, 1, spec, convention="median")
 
 
-def test_degenerate_enumeration_guard():
+def _compositions(total, parts):
+    # all ordered splits of `total` into `parts` non-negative integers
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+@pytest.mark.parametrize("dim, top", [(2, 7), (3, 5), (4, 4)])
+def test_degenerate_matches_composition_enumeration(dim, top):
+    rng = np.random.default_rng(dim)
+    spec = DegenerateSpec(tuple(rng.uniform(0.05, 2.0, size=dim)))
+    for m_level in range(top + 1):
+        for n_level in range(top + 1):
+            want = math.fsum(
+                multi_axis_probability(mvec, nvec, spec.axis_gammas)
+                for mvec in _compositions(m_level, dim)
+                for nvec in _compositions(n_level, dim)
+            )
+            got = degenerate_probability(m_level, n_level, spec)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_degenerate_six_dimensions_high_levels():
+    # 1.2e6 initial substates: far beyond any enumeration over multiplets
     spec = DegenerateSpec((0.1,) * 6)
-    with pytest.raises(ResourceError):
-        degenerate_probability(40, 40, spec)
+    bound = math.comb(40 + 5, 5)
+    total = degenerate_probability(40, 40, spec)
+    assert math.isfinite(total) and 0.0 < total <= bound
+    assert degenerate_probability(40, 40, spec, convention="average") == pytest.approx(
+        total / bound, rel=1e-15)
+    forward = degenerate_probability(40, 37, spec)
+    assert math.isfinite(forward) and 0.0 < forward <= bound
+    assert forward == pytest.approx(degenerate_probability(37, 40, spec), rel=1e-12)
 
 
 def test_row_limit_guard_is_reported_as_numerical_error():
@@ -325,18 +373,63 @@ def test_row_limit_guard_is_reported_as_numerical_error():
         transition_row(0, 5e6, tail_epsilon=1e-3)
 
 
-@pytest.mark.parametrize("m, n, gamma", [(1000, 2000, 1.0), (200, 200, 1e5)])
-def test_laguerre_overflow_raises_instead_of_nan(m, n, gamma):
-    # L_1000^(1000)(1) and L_200^(0)(1e5) exceed the float range
-    with pytest.raises(NumericalError):
-        transition_probability(m, n, gamma)
+@pytest.mark.parametrize("m, n, gamma, log10_want", [
+    (1000, 2000, 1.0, -1968.6), (200, 200, 1e5, -42179.6)],
+    ids=["1000-2000-1.0", "200-200-100000.0"])
+def test_extreme_probability_matches_mpmath(m, n, gamma, log10_want):
+    # L_1000^(1000)(1) and L_200^(0)(1e5) are far outside the float range,
+    # and P itself underflows
+    want = _mp_probability(m, n, gamma)
+    assert float(mpmath.log10(want)) == pytest.approx(log10_want, abs=0.05)
+    assert transition_probability(m, n, gamma) == 0.0
+    assert transition_probability(n, m, gamma) == 0.0
 
 
-def test_transition_row_overflow_raises_instead_of_nan_row():
-    # the row's Laguerre factors overflow past n ~ 1100; it used to sum to
-    # NaN and report tail_bound 0
-    with pytest.raises(NumericalError):
-        transition_row(400, 50.0)
+@pytest.mark.parametrize("m, n, gamma", [
+    (1000, 1050, 40.0), (486, 700, 91.06), (300, 10100, 1e4), (1500, 1500, 2.5)])
+def test_large_level_probability_matches_mpmath(m, n, gamma):
+    want = float(_mp_probability(m, n, gamma))
+    assert 0.0 < want
+    assert transition_probability(m, n, gamma) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("m, gamma", [(400, 50.0), (486, 91.06), (478, 100.58), (999, 5.153)])
+def test_extreme_row_matches_mpmath(m, gamma):
+    # the Laguerre factors of these rows pass 1e308 for n beyond ~1100
+    row = transition_row(m, gamma)
+    assert np.all(np.isfinite(row.probs)) and row.tail_bound < 1e-8
+    assert math.fsum(row.probs) + row.tail_bound == pytest.approx(1.0, abs=1e-9)
+    peak = int(np.argmax(row.probs))
+    last = len(row.probs) - 1
+    for n in sorted({0, m // 2, m, peak, (peak + last) // 2, last}):
+        want = float(_mp_probability(m, n, gamma))
+        assert row.probs[n] == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+@settings(max_examples=12, deadline=None)
+@given(m=st.integers(0, 2000), gamma=st.floats(0.0, 1e4))
+def test_property_row_sums_to_one(m, gamma):
+    row = transition_row(m, gamma)
+    assert np.all(np.isfinite(row.probs))
+    assert np.all((row.probs >= 0.0) & (row.probs <= 1.0))
+    assert 0.0 <= row.tail_bound < 1e-8
+    assert math.fsum(row.probs) + row.tail_bound == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(0, 2000), n=st.integers(0, 2000), gamma=st.floats(0.0, 1e4))
+def test_property_symmetry_is_exact(m, n, gamma):
+    p = transition_probability(m, n, gamma)
+    assert 0.0 <= p <= 1.0
+    assert p == transition_probability(n, m, gamma)
+
+
+@settings(max_examples=8, deadline=None)
+@given(m=st.integers(0, 1200), gamma=st.floats(0.0, 2e3))
+def test_property_row_entries_equal_scalar_calls(m, gamma):
+    row = transition_row(m, gamma)
+    for n in range(0, len(row.probs), max(1, len(row.probs) // 25)):
+        assert row.probs[n] == transition_probability(m, n, gamma)
 
 
 @settings(max_examples=20, deadline=None)
