@@ -139,8 +139,11 @@ class _Section:
     def number(self, key: str, default=None) -> float | None:
         return self._parse(key, default, float, "a number", _fmt)
 
-    def integer(self, key: str, default=None) -> int | None:
-        return self._parse(key, default, int, "an integer", str)
+    def integer(self, key: str, default=None, minimum=None) -> int | None:
+        value = self._parse(key, default, int, "an integer", str)
+        if minimum is not None and value is not None and value < minimum:
+            self._fail(key, f"must be >= {minimum}")
+        return value
 
     def boolean(self, key: str, default=False) -> bool:
         if key not in self.data:
@@ -292,7 +295,7 @@ def build_times(scn: Scenario, params: OscillatorParams, traj: Trajectory) -> li
     else:
         out = [traj.duration]
     for t in out:
-        if t < 0.0 or t > traj.duration * (1.0 + 1e-12):
+        if not 0.0 <= t <= traj.duration * (1.0 + 1e-12):
             raise ConfigError(f"[run] time {t!r} outside [0, {traj.duration!r}]")
     return out
 
@@ -335,7 +338,7 @@ def cmd_probs(scn: Scenario, out) -> int:
     times = build_times(scn, params, traj)
     cfg = build_quadrature(scn)
     run = scn.section("run")
-    max_level = run.integer("max_level", default=8)
+    max_level = run.integer("max_level", default=8, minimum=0)
     tail_epsilon = run.number("tail_epsilon", default=1e-8)
     if not (0.0 < tail_epsilon <= 1e-3):
         raise ConfigError("[run] tail_epsilon must lie in (0, 1e-3]")
@@ -378,8 +381,8 @@ def cmd_oracle(scn: Scenario, out) -> int:
         raise ConfigError("[run] oracle = on is required for the oracle command")
     times = sorted(build_times(scn, params, traj))
     cfg = build_quadrature(scn)
-    max_level = run.integer("max_level", default=8)
-    steps = run.integer("steps_per_period", default=2000)
+    max_level = run.integer("max_level", default=8, minimum=0)
+    steps = run.integer("steps_per_period", default=2000, minimum=orc.MIN_STEPS_PER_PERIOD)
     points = run.integer("grid_points", default=4096)
     bound = run.number("oracle_bound", default=1e-3)
     snapshot = run.string("snapshot")
@@ -387,7 +390,10 @@ def cmd_oracle(scn: Scenario, out) -> int:
     prof = exc.excitation_profile(traj, params, times, cfg)
     gammas = prof.gamma.tolist()
     alpha_extent = max((math.sqrt(g) for g in gammas), default=0.0) + 1.0
-    grid = orc.make_grid(traj, params, points, alpha_extent=alpha_extent, n_max=max_level)
+    try:
+        grid = orc.make_grid(traj, params, points, alpha_extent=alpha_extent, n_max=max_level)
+    except ValueError as err:
+        raise ConfigError(f"[run]: {err}") from err
     ax = traj.axes[0]
     state = orc.fock_state(0, float(ax.b(0.0)), float(ax.bdot(0.0)), params, grid)
 
@@ -475,6 +481,7 @@ def cmd_transport(scn: Scenario, out) -> int:
         duration = periods * params.period
     family_name = sec.string("family", default="polynomial",
                              choices=("polynomial", "piecewise"))
+    samples = sec.integer("samples", default=201, minimum=0)
     try:
         if family_name == "piecewise":
             family = tp.PiecewiseAccelerationFamily(sec.integer("segments", default=4))
@@ -497,7 +504,6 @@ def cmd_transport(scn: Scenario, out) -> int:
     print(f"# residual = {_fmt(solution.residual)}", file=out)
     print(f"# evaluations = {solution.evaluations}", file=out)
     print(f"# converged = {'yes' if solution.converged else 'no'}", file=out)
-    samples = sec.integer("samples", default=201)
     ax = solution.trajectory.axes[0]
     times = np.linspace(0.0, duration, samples)
     print("t,b,b_dot,b_ddot", file=out)

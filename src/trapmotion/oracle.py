@@ -9,12 +9,19 @@ are sampled on the same grid, so every closed-form probability elsewhere in
 the package can be cross-checked against direct integration of the
 Schroedinger equation with no shared code path.
 
+There is no fixed cap on the Fock level. Level n fits a grid when its reach,
+sqrt(2n + 1) + 5 ground-state widths, lies inside the grid, and inside the
+Nyquist wavenumber pi / dx around the boost wavenumber M v / hbar; the Hermite
+recurrence also needs exp(-reach^2 / 2) in float64 range (n <= 532). A level
+that does not fit raises :class:`ResourceError`.
+
 A propagation run owns its state; independent runs are trivially parallel.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -25,12 +32,11 @@ from .excitation import _check_time, _delta_prefactor, _resolve_axis
 from .model import OscillatorParams, Trajectory
 from .quadrature import QuadratureConfig, running_integrals
 
-#: Fock projections above this level are refused rather than risk silent
-#: Hermite-recurrence degradation on coarse grids.
-FOCK_LEVEL_CAP = 60
-
 #: Minimum propagation resolution, steps per trap period.
 MIN_STEPS_PER_PERIOD = 500
+
+_MARGIN_WIDTHS = 8.0     # make_grid's state-extent margin, in ground-state widths
+_EDGE_CHECK_EVERY = 16   # propagate tests the grid edges every this many steps
 
 
 @dataclass(frozen=True)
@@ -63,19 +69,18 @@ class Grid:
 
 
 def make_grid(traj: Trajectory, params: OscillatorParams, points: int = 4096, *,
-              axis: int = 0, alpha_extent: float = 0.0, n_max: int = 0,
-              margin_widths: float = 8.0) -> Grid:
+              axis: int = 0, alpha_extent: float = 0.0, n_max: int = 0) -> Grid:
     """Grid sized from the trajectory excursion plus state-extent margins.
 
-    The margin covers ``margin_widths`` ground-state widths, the coherent
-    displacement sqrt(2) * |alpha|, and the classical turning point of Fock
-    level ``n_max``.
+    The margin covers eight ground-state widths, the coherent displacement
+    sqrt(2) * |alpha|, and the classical turning point of Fock level
+    ``n_max``.
     """
     ax = traj.axes[axis]
     ts = np.linspace(0.0, traj.duration, 2049)
     b = np.asarray(ax.b(ts), dtype=float)
     sigma = params.ground_width
-    margin = (margin_widths + math.sqrt(2.0) * abs(alpha_extent)
+    margin = (_MARGIN_WIDTHS + math.sqrt(2.0) * abs(alpha_extent)
               + math.sqrt(2.0 * n_max + 1.0)) * sigma
     return Grid(float(b.min()) - margin, float(b.max()) + margin, points)
 
@@ -100,28 +105,41 @@ def overlap(bra: GridState, ket: GridState) -> complex:
     return complex(np.vdot(bra.psi, ket.psi) * bra.grid.dx)
 
 
-def _edge_mass(psi: np.ndarray, dx: float, cells: int = 4) -> float:
-    edge = np.concatenate((psi[:cells], psi[-cells:]))
-    return float(np.sum(np.abs(edge) ** 2) * dx)
-
-
 def _check_extent(psi: np.ndarray, grid: Grid, what: str) -> None:
-    if _edge_mass(psi, grid.dx) > 1e-10:
-        raise ResourceError(
-            f"{what} has non-negligible amplitude within 4 cells of the grid "
-            "boundary; enlarge the grid"
-        )
+    """Refuse ``psi`` when its mass within 4 cells of either grid edge exceeds 1e-10."""
+    edge = np.concatenate((psi[:4], psi[-4:]))
+    if float(np.sum(np.abs(edge) ** 2) * grid.dx) > 1e-10:
+        raise ResourceError(f"{what} has non-negligible amplitude within 4 cells of "
+                            "the grid boundary; enlarge the grid")
 
 
-def _hermite_stack(xi: np.ndarray, n_max: int) -> np.ndarray:
-    """Normalized Hermite functions phi_0..phi_n_max of the scaled coordinate."""
+def _fock_basis(n_max: int, center: float, velocity: float, params: OscillatorParams,
+                grid: Grid) -> np.ndarray:
+    """Rows 0..n_max of the moving-frame Fock basis: normalized Hermite functions
+    of (x - center) / sigma times the boost exp(i M v x / hbar). Raises
+    ResourceError unless level n_max fits the grid (see the module docstring)."""
+    if n_max < 0:
+        raise ValueError(f"Fock level must be >= 0, got {n_max}")
+    sigma = params.ground_width
+    reach = math.sqrt(2.0 * n_max + 1.0) + 5.0
+    if center - reach * sigma < grid.x_min or center + reach * sigma > grid.x_max:
+        raise ResourceError(f"grid [{grid.x_min}, {grid.x_max}] too small for Fock level "
+                            f"{n_max} centered at {center}")
+    if abs(params.mass * velocity / params.hbar) + reach / sigma > math.pi / grid.dx:
+        raise ResourceError(f"grid step {grid.dx} too coarse for Fock level {n_max} "
+                            f"boosted to velocity {velocity}")
+    if 0.5 * reach ** 2 > -math.log(sys.float_info.min):
+        raise ResourceError(f"Fock level {n_max} reaches {reach:.3g} widths, past the "
+                            "float64 range of its start value exp(-xi^2 / 2)")
+    x = grid.x
+    xi = (x - center) / sigma
     stack = np.empty((n_max + 1, len(xi)))
     stack[0] = math.pi ** -0.25 * np.exp(-0.5 * xi ** 2)
     if n_max >= 1:
         stack[1] = math.sqrt(2.0) * xi * stack[0]
     for k in range(2, n_max + 1):
         stack[k] = math.sqrt(2.0 / k) * xi * stack[k - 1] - math.sqrt((k - 1) / k) * stack[k - 2]
-    return stack
+    return stack / math.sqrt(sigma) * np.exp(1j * params.mass * velocity * x / params.hbar)
 
 
 def fock_state(n: int, center: float, boost_velocity: float,
@@ -130,24 +148,13 @@ def fock_state(n: int, center: float, boost_velocity: float,
 
     This is the instantaneous eigenstate seen from a frame moving with the
     trap center; only the boost phase distinguishes it from the static state.
+    Any level that fits the grid is allowed; one that does not, in position
+    or in momentum (see the module docstring), raises ResourceError.
     """
-    if not (0 <= n <= FOCK_LEVEL_CAP):
-        raise ValueError(f"Fock level must lie in [0, {FOCK_LEVEL_CAP}], got {n}")
-    sigma = params.ground_width
-    turning = math.sqrt(2.0 * n + 1.0) * sigma
-    if center - turning - 5.0 * sigma < grid.x_min or center + turning + 5.0 * sigma > grid.x_max:
-        raise ResourceError(
-            f"grid [{grid.x_min}, {grid.x_max}] too small for Fock level {n} "
-            f"centered at {center}"
-        )
-    x = grid.x
-    xi = (x - center) / sigma
-    envelope = _hermite_stack(xi, n)[n] / math.sqrt(sigma)
-    psi = envelope * np.exp(1j * params.mass * boost_velocity * x / params.hbar)
-    psi = psi / math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid.dx))
-    state = GridState(grid, psi, 0.0)
+    raw = GridState(grid, _fock_basis(n, center, boost_velocity, params, grid)[n], 0.0)
+    psi = raw.psi / math.sqrt(raw.norm())
     _check_extent(psi, grid, f"Fock state n={n}")
-    return state
+    return GridState(grid, psi, 0.0)
 
 
 def _delta_profile(ax, params: OscillatorParams, t: float, cfg: QuadratureConfig):
@@ -195,6 +202,30 @@ def _kinetic_integral(ax, t: float, cfg: QuadratureConfig) -> float:
     return float(vel_sq[0].real)
 
 
+def _gaussian(params: OscillatorParams, grid: Grid, t: float, *, center: float, velocity: float,
+              amplitude: complex, quadratic: complex, constant: complex, what: str) -> GridState:
+    """The Gaussian of both coherent states at time t, edge-checked:
+    (M omega / pi hbar)^(1/4) exp(-(M omega / 2 hbar) (x - center)^2
+    + sqrt(2 M omega / hbar) (x - center) e^{-i omega t} amplitude
+    + i M velocity x / hbar - i omega t / 2 + quadratic e^{-2 i omega t} + constant)."""
+    omega = params.omega
+    hbar = params.hbar
+    mass = params.mass
+    x = grid.x
+    phase_t = complex(math.cos(omega * t), -math.sin(omega * t))
+    exponent = (
+        -(mass * omega / (2.0 * hbar)) * (x - center) ** 2
+        + math.sqrt(2.0 * mass * omega / hbar) * (x - center) * phase_t * amplitude
+        + 1j * mass * velocity * x / hbar
+        - 0.5j * omega * t
+        + quadratic * phase_t ** 2
+        + constant
+    )
+    psi = (mass * omega / (math.pi * hbar)) ** 0.25 * np.exp(exponent)
+    _check_extent(psi, grid, what)
+    return GridState(grid, psi, t)
+
+
 def coherent_state(alpha: complex, params: OscillatorParams, grid: Grid,
                    t: float = 0.0, traj: Trajectory | None = None,
                    cfg: QuadratureConfig | None = None, *, axis: int = 0) -> GridState:
@@ -207,31 +238,17 @@ def coherent_state(alpha: complex, params: OscillatorParams, grid: Grid,
     reference for the propagator.
     """
     alpha = complex(alpha)
-    omega = params.omega
-    hbar = params.hbar
-    mass = params.mass
     ax, duration = _resolve_axis(traj, axis) if traj is not None else (None, None)
     _check_time(t, duration)
     if ax is not None and t > 0.0:
         delta, theta1, theta2 = _delta_profile(ax, params, t, cfg or QuadratureConfig())
     else:
         delta, theta1, theta2 = 0.0 + 0.0j, 0.0 + 0.0j, 0.0
-    x = grid.x
-    phase_t = complex(math.cos(omega * t), -math.sin(omega * t))
-    exponent = (
-        -(mass * omega / (2.0 * hbar)) * x ** 2
-        + math.sqrt(2.0 * mass * omega / hbar) * x * phase_t * (alpha - delta)
-        + alpha * (delta * phase_t ** 2 + delta.conjugate())
-        - 0.5j * omega * t
-        - 0.5 * alpha ** 2 * phase_t ** 2
-        - 0.5 * abs(alpha) ** 2
-        + 1j * theta1
-        - 1j * theta2
-    )
-    psi = (mass * omega / (math.pi * hbar)) ** 0.25 * np.exp(exponent)
-    state = GridState(grid, psi, t)
-    _check_extent(psi, grid, "coherent state")
-    return state
+    return _gaussian(params, grid, t, center=0.0, velocity=0.0, amplitude=alpha - delta,
+                     quadratic=alpha * delta - 0.5 * alpha ** 2,
+                     constant=(alpha * delta.conjugate() - 0.5 * abs(alpha) ** 2
+                               + 1j * theta1 - 1j * theta2),
+                     what="coherent state")
 
 
 def moving_frame_coherent_state(beta: complex, params: OscillatorParams, grid: Grid,
@@ -247,50 +264,32 @@ def moving_frame_coherent_state(beta: complex, params: OscillatorParams, grid: G
     beta = complex(beta)
     ax, duration = _resolve_axis(traj, axis)
     _check_time(t, duration)
-    omega = params.omega
-    hbar = params.hbar
-    mass = params.mass
-    b = float(ax.b(t))
-    bdot = float(ax.bdot(t))
-    kin = _kinetic_integral(ax, t, cfg or QuadratureConfig()) * mass / (2.0 * hbar) if t else 0.0
-    x = grid.x
-    phase_t = complex(math.cos(omega * t), -math.sin(omega * t))
-    exponent = (
-        -(mass * omega / (2.0 * hbar)) * (x - b) ** 2
-        + math.sqrt(2.0 * mass * omega / hbar) * (x - b) * phase_t * beta
-        + 1j * mass * bdot * x / hbar
-        - 0.5j * omega * t
-        - 0.5 * beta ** 2 * phase_t ** 2
-        - 0.5 * abs(beta) ** 2
-        - 1j * kin
-    )
-    psi = (mass * omega / (math.pi * hbar)) ** 0.25 * np.exp(exponent)
-    state = GridState(grid, psi, t)
-    _check_extent(psi, grid, "moving-frame coherent state")
-    return state
+    kin = (_kinetic_integral(ax, t, cfg or QuadratureConfig()) * params.mass / (2.0 * params.hbar)
+           if t else 0.0)
+    return _gaussian(params, grid, t, center=float(ax.b(t)), velocity=float(ax.bdot(t)),
+                     amplitude=beta, quadratic=-0.5 * beta ** 2,
+                     constant=-0.5 * abs(beta) ** 2 - 1j * kin, what="moving-frame coherent state")
 
 
 def propagate(state: GridState, traj: Trajectory, params: OscillatorParams,
-              t_final: float, steps_per_period: int = 2000, *,
-              axis: int = 0, check_every: int = 16) -> GridState:
+              t_final: float, steps_per_period: int = 2000, *, axis: int = 0) -> GridState:
     """Strang-split evolution of ``state`` from its own time to ``t_final``.
 
     Each step applies a spectral half kinetic step, the full potential step
     with the center evaluated at the midpoint time, and another half kinetic
     step (adjacent half-steps are fused). Norm drift beyond 1e-6 aborts with
-    a numerical error; amplitude reaching the grid edge aborts with a
-    resource error.
+    a numerical error; amplitude reaching the grid edge, tested every 16
+    steps and at the end, aborts with a resource error.
     """
     if steps_per_period < MIN_STEPS_PER_PERIOD:
         raise ValueError(
             f"steps_per_period must be >= {MIN_STEPS_PER_PERIOD}, got {steps_per_period}"
         )
+    _check_time(t_final, traj.duration)
     ax = traj.axes[axis]
     t0 = state.t
     if t_final < t0:
         raise ValueError(f"t_final {t_final!r} precedes the state time {t0!r}")
-    if t_final > traj.duration * (1.0 + 1e-12):
-        raise ValueError(f"t_final {t_final!r} exceeds trajectory duration {traj.duration!r}")
     if t_final == t0:
         return state
     grid = state.grid
@@ -306,8 +305,6 @@ def propagate(state: GridState, traj: Trajectory, params: OscillatorParams,
     v_coef = -1j * dt * params.mass * omega ** 2 / (2.0 * params.hbar)
 
     psi = state.psi.astype(complex, copy=True)
-    norm0 = float(np.sum(np.abs(psi) ** 2) * grid.dx)
-
     psi = np.fft.ifft(kin_half * np.fft.fft(psi))
     for j in range(n_steps):
         t_mid = t0 + (j + 0.5) * dt
@@ -315,21 +312,16 @@ def propagate(state: GridState, traj: Trajectory, params: OscillatorParams,
         psi *= np.exp(v_coef * (x - b_mid) ** 2)
         if j < n_steps - 1:
             psi = np.fft.ifft(kin_full * np.fft.fft(psi))
-        if check_every and (j % check_every == check_every - 1):
-            if _edge_mass(psi, grid.dx) > 1e-10:
-                raise ResourceError(
-                    f"wavepacket reached the grid boundary at t ~ {t_mid:.6g}; "
-                    "enlarge the grid"
-                )
+        if j % _EDGE_CHECK_EVERY == _EDGE_CHECK_EVERY - 1:
+            _check_extent(psi, grid, f"wavepacket at t ~ {t_mid:.6g}")
     psi = np.fft.ifft(kin_half * np.fft.fft(psi))
 
-    norm1 = float(np.sum(np.abs(psi) ** 2) * grid.dx)
-    drift = abs(norm1 - norm0)
+    end = GridState(grid, psi, t_final)
+    drift = abs(end.norm() - state.norm())
     if drift > 1e-6:
         raise NumericalError(f"norm drifted by {drift:.3e} during propagation", residual=drift)
-    if _edge_mass(psi, grid.dx) > 1e-10:
-        raise ResourceError("wavepacket reached the grid boundary; enlarge the grid")
-    return GridState(grid, psi, t_final)
+    _check_extent(psi, grid, f"wavepacket at t = {t_final:.6g}")
+    return end
 
 
 def measure_transitions(state: GridState, traj: Trajectory, params: OscillatorParams,
@@ -338,21 +330,13 @@ def measure_transitions(state: GridState, traj: Trajectory, params: OscillatorPa
 
     The reference states are Fock functions centered at b(t) with the boost
     phase of the instantaneous center velocity; global phases cancel in the
-    squared modulus.
+    squared modulus. Level ``n_max`` must fit the grid around b(t), in
+    position and in momentum (see the module docstring), or ResourceError.
     """
-    if not (0 <= n_max <= FOCK_LEVEL_CAP):
-        raise ValueError(f"n_max must lie in [0, {FOCK_LEVEL_CAP}], got {n_max}")
     ax = traj.axes[axis]
-    b = float(ax.b(state.t))
-    bdot = float(ax.bdot(state.t))
     grid = state.grid
-    sigma = params.ground_width
-    xi = (grid.x - b) / sigma
-    stack = _hermite_stack(xi, n_max) / math.sqrt(sigma)
-    boost = np.exp(1j * params.mass * bdot * grid.x / params.hbar)
-    targets = stack * boost
-    amps = targets.conj() @ state.psi * grid.dx
-    probs = np.abs(amps) ** 2
+    basis = _fock_basis(n_max, float(ax.b(state.t)), float(ax.bdot(state.t)), params, grid)
+    probs = np.abs(basis.conj() @ state.psi * grid.dx) ** 2
     if float(np.sum(probs)) < 0.999:
         warnings.warn(
             f"projections onto n <= {n_max} capture only {float(np.sum(probs)):.6f} "

@@ -304,6 +304,16 @@ def test_oracle_requires_oracle_flag(tmp_path, capsys):
     assert code == 2
 
 
+def test_oracle_measures_levels_above_sixty(tmp_path, capsys):
+    # no fixed level cap: level 70 fits this grid in position and momentum
+    cfg = write_config(tmp_path, ORACLE_BASE.format(a=1.0, extra="").replace(
+        "max_level = 8", "max_level = 70"))
+    code, out, _ = run_cli(capsys, "oracle", "--config", cfg)
+    assert code == 0
+    _, data = rows(out)
+    assert [int(r[1]) for r in data] == list(range(71))
+
+
 def test_oracle_delta_sq_agreement_at_return_instant(tmp_path, capsys):
     cfg = write_config(tmp_path, """
 [oscillator]
@@ -546,6 +556,28 @@ budget = 100
 
 
 # --- generic plumbing -----------------------------------------------------------------
+
+_RUN = ORACLE_BASE.format(a=1.0, extra="")
+_NAN_TIMES = _RUN.replace("times = 3.141592653589793", "times = nan")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("excite", _NAN_TIMES),
+    ("probs", _NAN_TIMES),
+    ("oracle", _NAN_TIMES),
+    ("probs", _RUN.replace("max_level = 8", "max_level = -1")),
+    ("oracle", _RUN.replace("max_level = 8", "max_level = -1")),
+    ("oracle", _RUN.replace("grid_points = 1024", "grid_points = 1000")),
+    ("oracle", _RUN.replace("steps_per_period = 600", "steps_per_period = 100")),
+    ("transport", "[oscillator]\ndimensionless = on\n[transport]\ndisplacement = 1.0\n"
+                  "duration_periods = 2\nsamples = -3\n"),
+], ids=["excite-nan-time", "probs-nan-time", "oracle-nan-time", "probs-negative-level",
+        "oracle-negative-level", "oracle-grid-points", "oracle-steps", "transport-samples"])
+def test_bad_values_are_config_errors(tmp_path, capsys, command, text):
+    code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, text))
+    assert code == 2
+    assert "config error" in err
+    assert out == ""
 
 def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "excite", "--config", "/nonexistent/path.cfg")

@@ -90,12 +90,37 @@ def test_displaced_boosted_overlap_matches_gaussian_integral(params):
     assert got == pytest.approx(math.exp(-2.5), rel=1e-9)
 
 
-def test_fock_level_cap_and_grid_extent(params):
+def test_fock_level_fit_rule(params):
+    # level n fits when sqrt(2n + 1) + 5 widths lie inside the grid and
+    # inside the Nyquist wavenumber pi / dx around the boost wavenumber
     grid = _static_grid()
     with pytest.raises(ValueError):
-        fock_state(61, 0.0, 0.0, params, grid)
+        fock_state(-1, 0.0, 0.0, params, grid)
     with pytest.raises(ResourceError):
         fock_state(0, 11.5, 0.0, params, grid)
+    with pytest.raises(ResourceError):
+        fock_state(0, 0.0, 130.0, params, grid)   # 130 + 6 > pi / dx = 134
+    fock_state(0, 0.0, 125.0, params, grid)
+    # too coarse for level 30: its reach, 12.8, passes pi / dx = 6.7
+    coarse = Grid(-60.0, 60.0, 256)
+    with pytest.raises(ResourceError):
+        fock_state(30, 0.0, 0.0, params, coarse)
+    traj = make_constant_acceleration(0.0, TWO_PI)
+    with pytest.raises(ResourceError):
+        measure_transitions(fock_state(0, 0.0, 0.0, params, coarse), traj, params, 30)
+
+
+def test_high_fock_levels_on_a_fine_grid(params):
+    grid = Grid(-32.0, 32.0, 2048)
+    states = [fock_state(n, 0.0, 0.0, params, grid) for n in (199, 200, 201)]
+    for i, si in enumerate(states):
+        for j, sj in enumerate(states):
+            assert abs(overlap(si, sj) - (1.0 if i == j else 0.0)) < 1e-12
+    traj = make_constant_acceleration(0.0, TWO_PI)
+    start = fock_state(150, 0.0, 0.0, params, grid)
+    probs = measure_transitions(propagate(start, traj, params, 0.1, 500), traj, params, 160)
+    assert probs[150] == pytest.approx(1.0, abs=1e-6)
+    assert np.sum(probs) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_coherent_state_moment(params):
@@ -205,6 +230,8 @@ def test_propagate_validates_inputs(params):
         propagate(start, traj, params, 2.0, 500)   # beyond duration
     with pytest.raises(ValueError):
         propagate(start, traj, params, -1.0, 500)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        propagate(start, traj, params, float("nan"), 500)
 
 
 def test_packet_hitting_boundary_raises(params):
