@@ -55,7 +55,7 @@ _SECTION_KEYS = {
             "oracle_bound", "snapshot"),
     "sweep": ("parameter", "values"),
     "transport": ("displacement", "duration", "duration_periods", "family",
-                  "degree", "segments", "budget", "threshold", "samples"),
+                  "degree", "segments", "threshold", "samples"),
 }
 
 _SWEEP_PARAMETERS = ("Omega", "omega", "R", "v", "a", "s", "T")
@@ -364,8 +364,8 @@ def cmd_probs(scn: Scenario, out) -> int:
         spec = trans.DegenerateSpec((gx, gy))
         for m_level in range(max_level + 1):
             for n_level in range(max_level + 1):
-                p_sum = trans.degenerate_probability(m_level, n_level, spec, convention="sum")
-                p_avg = trans.degenerate_probability(m_level, n_level, spec, convention="average")
+                p_sum = trans.degenerate_probability(m_level, n_level, spec)
+                p_avg = p_sum / math.comb(m_level + 1, 1)
                 print(f"{_fmt(t)},{_fmt(spec.w)},{m_level},{n_level},{_fmt(p_sum)},{_fmt(p_avg)}",
                       file=out)
     return 0
@@ -488,9 +488,8 @@ def cmd_transport(scn: Scenario, out) -> int:
         else:
             family = tp.PolynomialFamily(sec.integer("degree", default=5))
         problem = tp.TransportProblem(displacement, duration, params, family)
-        budget = sec.integer("budget", default=2000)
         threshold = sec.number("threshold", default=tp.DEFAULT_THRESHOLD)
-        solution = tp.optimize(problem, budget=budget, threshold=threshold)
+        solution = tp.optimize(problem, threshold=threshold)
     except ValueError as err:
         raise ConfigError(f"[transport]: {err}") from err
 
@@ -533,21 +532,20 @@ def _load_config_text(path: str) -> str:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="trapmotion",
-        description="Excitation of a harmonic trap with a moving center.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True,
-                         help="scenario file, or demo:NAME for a bundled scenario")
-        cmd.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="accepted for old command lines; has no effect")
-    args = parser.parse_args(argv)
+_PARSER = argparse.ArgumentParser(
+    prog="trapmotion",
+    description="Excitation of a harmonic trap with a moving center.",
+)
+_PARSER.add_argument("command", choices=_COMMANDS)
+_PARSER.add_argument("--config", required=True,
+                     help="scenario file, or demo:NAME for a bundled scenario")
+_PARSER.add_argument("--out", default=None, help="output CSV path (default stdout)")
+_PARSER.add_argument("--seed", type=int, default=0,
+                     help="accepted for old command lines; has no effect")
 
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         scn = Scenario(parse_config(_load_config_text(args.config)))
         sink = open(args.out, "w", encoding="ascii", newline="\n") if args.out else sys.stdout

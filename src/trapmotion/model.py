@@ -147,6 +147,26 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
+def _ramp(scale: float, T_a: float, stop: float | None = None):
+    """Position, rate and acceleration of a rate that ramps smoothly from 0 to
+    ``scale`` over [0, T_a] and, if ``stop`` is given, back to 0 over
+    [stop, stop + T_a]. The position is the exact integral of the rate."""
+
+    def ramped(factor, piece):
+        def evaluate(t):
+            t = np.asarray(t, dtype=float)
+            out = piece(t)
+            if stop is not None:
+                out = out - piece(t - stop)
+            return factor * out
+
+        return evaluate
+
+    return (ramped(scale, lambda s: T_a * _sigma_area(s / T_a) + _relu(s - T_a)),
+            ramped(scale, lambda s: _sigma(s / T_a)),
+            ramped(scale / T_a, lambda s: _sigma_rate(s / T_a)))
+
+
 def _require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -187,27 +207,7 @@ def make_kick(v: float, T_a: float, T: float, stop_at: float | None = None) -> T
             f"T_a={T_a!r}, T={T!r}"
         )
 
-    def bdot(t):
-        t = np.asarray(t, dtype=float)
-        out = _sigma(t / T_a)
-        if stop_at is not None:
-            out = out - _sigma((t - stop_at) / T_a)
-        return v * out
-
-    def b(t):
-        t = np.asarray(t, dtype=float)
-        out = T_a * _sigma_area(t / T_a) + _relu(t - T_a)
-        if stop_at is not None:
-            out = out - (T_a * _sigma_area((t - stop_at) / T_a) + _relu(t - stop_at - T_a))
-        return v * out
-
-    def bddot(t):
-        t = np.asarray(t, dtype=float)
-        out = _sigma_rate(t / T_a)
-        if stop_at is not None:
-            out = out - _sigma_rate((t - stop_at) / T_a)
-        return (v / T_a) * out
-
+    b, bdot, bddot = _ramp(v, T_a, stop_at)
     cuts = [T_a] if T_a < T else []
     if stop_at is not None:
         cuts += [stop_at, stop_at + T_a] if stop_at + T_a < T else [stop_at]
@@ -263,19 +263,7 @@ def make_circular(R: float, Omega: float, T_a: float, s: float) -> Trajectory:
     T = t_rev + T_a
     t_down = t_rev  # down-ramp occupies [T - T_a, T]
 
-    def phase(t):
-        t = np.asarray(t, dtype=float)
-        up = T_a * _sigma_area(t / T_a) + _relu(t - T_a)
-        down = T_a * _sigma_area((t - t_down) / T_a) + _relu(t - t_down - T_a)
-        return Omega * (up - down)
-
-    def phase_rate(t):
-        t = np.asarray(t, dtype=float)
-        return Omega * (_sigma(t / T_a) - _sigma((t - t_down) / T_a))
-
-    def phase_accel(t):
-        t = np.asarray(t, dtype=float)
-        return (Omega / T_a) * (_sigma_rate(t / T_a) - _sigma_rate((t - t_down) / T_a))
+    phase, phase_rate, phase_accel = _ramp(Omega, T_a, t_down)
 
     def bx(t):
         return R * (1.0 - np.cos(phase(t)))

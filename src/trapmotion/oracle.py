@@ -113,6 +113,16 @@ def _check_extent(psi: np.ndarray, grid: Grid, what: str) -> None:
                             "the grid boundary; enlarge the grid")
 
 
+def _check_bandwidth(phi: np.ndarray, grid: Grid, what: str) -> None:
+    """Refuse a state whose FFT ``phi`` puts mass above 1e-10 within 4 bins of
+    the Nyquist wavenumber pi / dx, where the grid aliases momentum."""
+    nyquist = grid.points // 2
+    edge = phi[nyquist - 4:nyquist + 4]
+    if float(np.sum(np.abs(edge) ** 2) * grid.dx / grid.points) > 1e-10:
+        raise ResourceError(f"{what} has non-negligible amplitude within 4 bins of the "
+                            "Nyquist wavenumber pi / dx; refine the grid")
+
+
 def _fock_basis(n_max: int, center: float, velocity: float, params: OscillatorParams,
                 grid: Grid) -> np.ndarray:
     """Rows 0..n_max of the moving-frame Fock basis: normalized Hermite functions
@@ -278,8 +288,9 @@ def propagate(state: GridState, traj: Trajectory, params: OscillatorParams,
     Each step applies a spectral half kinetic step, the full potential step
     with the center evaluated at the midpoint time, and another half kinetic
     step (adjacent half-steps are fused). Norm drift beyond 1e-6 aborts with
-    a numerical error; amplitude reaching the grid edge, tested every 16
-    steps and at the end, aborts with a resource error.
+    a numerical error; amplitude reaching the grid edge, or the Nyquist
+    wavenumber pi / dx, tested every 16 steps and at the end, aborts with a
+    resource error.
     """
     if steps_per_period < MIN_STEPS_PER_PERIOD:
         raise ValueError(
@@ -310,17 +321,21 @@ def propagate(state: GridState, traj: Trajectory, params: OscillatorParams,
         t_mid = t0 + (j + 0.5) * dt
         b_mid = float(ax.b(t_mid))
         psi *= np.exp(v_coef * (x - b_mid) ** 2)
+        phi = np.fft.fft(psi)
         if j < n_steps - 1:
-            psi = np.fft.ifft(kin_full * np.fft.fft(psi))
+            psi = np.fft.ifft(kin_full * phi)
         if j % _EDGE_CHECK_EVERY == _EDGE_CHECK_EVERY - 1:
             _check_extent(psi, grid, f"wavepacket at t ~ {t_mid:.6g}")
-    psi = np.fft.ifft(kin_half * np.fft.fft(psi))
+            _check_bandwidth(phi, grid, f"wavepacket at t ~ {t_mid:.6g}")
+    psi = np.fft.ifft(kin_half * phi)
 
     end = GridState(grid, psi, t_final)
     drift = abs(end.norm() - state.norm())
     if drift > 1e-6:
         raise NumericalError(f"norm drifted by {drift:.3e} during propagation", residual=drift)
     _check_extent(psi, grid, f"wavepacket at t = {t_final:.6g}")
+    # the last kinetic half-step leaves |phi| unchanged
+    _check_bandwidth(phi, grid, f"wavepacket at t = {t_final:.6g}")
     return end
 
 

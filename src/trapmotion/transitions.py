@@ -315,8 +315,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return flat.reshape(rows, -1)[:, :cols]
 
 
-def degenerate_probability(m_level: int, n_level: int, spec: DegenerateSpec,
-                           dimension: int | None = None,
+def degenerate_probability(m_level: int, n_level: int, spec: DegenerateSpec, *,
                            convention: str = "sum") -> float:
     """Total transition probability between degenerate energy levels.
 
@@ -338,12 +337,7 @@ def degenerate_probability(m_level: int, n_level: int, spec: DegenerateSpec,
     m_level, n_level = _check_level("m_level", m_level), _check_level("n_level", n_level)
     if convention not in ("sum", "average"):
         raise ValueError(f"convention must be 'sum' or 'average', got {convention!r}")
-    N = len(spec.axis_gammas) if dimension is None else int(dimension)
-    if N != len(spec.axis_gammas):
-        raise ValueError(
-            f"dimension {N} does not match the {len(spec.axis_gammas)} axis "
-            "parameters supplied"
-        )
+    N = len(spec.axis_gammas)
     blocks = _tables(spec.axis_gammas, max(m_level, n_level))[:, :m_level + 1, :n_level + 1]
     # the last axis only adds to the x^m_level y^n_level coefficient
     acc = functools.reduce(_product, blocks[1:-1], blocks[0])

@@ -11,7 +11,8 @@ fix a subset of the family coefficients and the remaining ones are free
 parameters, so every candidate is exactly feasible. In both families b'' is
 linear in the free parameters, so u(T) is affine in them, and ``optimize``
 zeroes it with one linear least-squares solve (Re u and Im u give two real
-equations in n_free unknowns) instead of a search.
+equations in n_free unknowns) instead of a search. That takes at most
+n_free + 2 quadratures.
 
 The implementation is deliberately scale-equivariant: doubling d and the
 seed doubles every trajectory and every measured column of the affine map
@@ -249,7 +250,7 @@ def verify_boundaries(traj: Trajectory, problem: TransportProblem,
             )
 
 
-def optimize(problem: TransportProblem, seed_params=None, budget: int = 2000, *,
+def optimize(problem: TransportProblem, seed_params=None, *,
              cfg: QuadratureConfig | None = None,
              threshold: float = DEFAULT_THRESHOLD) -> TransportSolution:
     """Minimize the residual excitation over the family's free parameters.
@@ -259,13 +260,10 @@ def optimize(problem: TransportProblem, seed_params=None, budget: int = 2000, *,
     ``param_scales[i]`` along each parameter i, and the minimum-norm step to
     the least |u| is re-checked by quadrature. The better of seed and solution
     is returned. That costs one quadrature when there is no freedom or the
-    seed is below ``threshold``, else n_free + 2, so ``budget`` must be at
-    least n_free + 2. A residual above ``threshold`` gives ``converged=False``,
-    not an error.
+    seed is below ``threshold``, else n_free + 2. A residual above
+    ``threshold`` gives ``converged=False``, not an error.
     """
     family = problem.family
-    if budget < family.n_free + 2:
-        raise ValueError(f"budget must be >= n_free + 2 = {family.n_free + 2}, got {budget}")
     if seed_params is None:
         seed_params = family.seed(problem)
     seed = np.asarray(seed_params, dtype=float)

@@ -213,15 +213,15 @@ def test_10_transport_optimization():
         params = tm.OscillatorParams.dimensionless()
         family = tm.PolynomialFamily(5)
         problem = tm.TransportProblem(1.0, 3 * TWO_PI, params, family)
-        solution = tm.optimize(problem, budget=2000)
+        solution = tm.optimize(problem)
         assert solution.evaluations <= 2000
         assert solution.residual < 1e-6, f"residual = {solution.residual}"
 
         # quadratic scaling under d -> 2d with scaled seeds
         seed = family.seed(problem)
         doubled = tm.TransportProblem(2.0, 3 * TWO_PI, params, family)
-        s1 = tm.optimize(problem, seed_params=seed, budget=600, threshold=0.0)
-        s2 = tm.optimize(doubled, seed_params=2 * seed, budget=600, threshold=0.0)
+        s1 = tm.optimize(problem, seed_params=seed, threshold=0.0)
+        s2 = tm.optimize(doubled, seed_params=2 * seed, threshold=0.0)
         assert s1.residual > 0.0
         ratio = s2.residual / s1.residual
         assert abs(ratio - 4.0) <= 1e-6, f"ratio = {ratio}"

@@ -532,7 +532,6 @@ dimensionless = on
 displacement = 0.0
 duration_periods = 1
 degree = 5
-budget = 100
 """)
     code, out, _ = run_cli(capsys, "transport", "--config", cfg)
     assert code == 0
@@ -548,7 +547,6 @@ dimensionless = on
 displacement = 1.0
 duration_periods = 0.5
 degree = 3
-budget = 100
 """)
     code, out, _ = run_cli(capsys, "transport", "--config", cfg)
     assert code == 0
@@ -571,13 +569,42 @@ _NAN_TIMES = _RUN.replace("times = 3.141592653589793", "times = nan")
     ("oracle", _RUN.replace("steps_per_period = 600", "steps_per_period = 100")),
     ("transport", "[oscillator]\ndimensionless = on\n[transport]\ndisplacement = 1.0\n"
                   "duration_periods = 2\nsamples = -3\n"),
+    ("transport", "[oscillator]\ndimensionless = on\n[transport]\ndisplacement = 1.0\n"
+                  "duration_periods = 2\nbudget = 100\n"),
 ], ids=["excite-nan-time", "probs-nan-time", "oracle-nan-time", "probs-negative-level",
-        "oracle-negative-level", "oracle-grid-points", "oracle-steps", "transport-samples"])
+        "oracle-negative-level", "oracle-grid-points", "oracle-steps", "transport-samples",
+        "transport-budget"])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, text):
     code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, text))
     assert code == 2
     assert "config error" in err
     assert out == ""
+
+
+def test_main_only_parses(capsys, monkeypatch):
+    # the parser is built once at import; main must not build another
+    import trapmotion.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(cli_mod.argparse, "ArgumentParser", refuse)
+    code, out, _ = run_cli(capsys, "excite", "--config", "demo:constant_accel")
+    assert code == 0
+    assert out.startswith("t,re_u,im_u,gamma,phi,delta_sq")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--config", "demo:constant_accel"),
+    ("excite",),
+    ("--config", "demo:constant_accel"),
+], ids=["unknown-command", "missing-config", "missing-command"])
+def test_bad_command_lines_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert "usage: trapmotion" in capsys.readouterr().err
+
 
 def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "excite", "--config", "/nonexistent/path.cfg")

@@ -242,6 +242,17 @@ def test_packet_hitting_boundary_raises(params):
         propagate(start, traj, params, 12.0, 500)
 
 
+def test_packet_boosted_past_nyquist_raises(params):
+    # pi / dx = 8.04, and the kick carries the packet's momentum to about 7.5:
+    # by t = 1.45 it aliases while its position is still far from the edges
+    traj = make_kick(9.0, 0.1, 3.0)
+    grid = Grid(-200.0, 200.0, 1024)
+    start = fock_state(0, 0.0, 0.0, params, grid)
+    assert propagate(start, traj, params, 0.5).norm() == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ResourceError, match="Nyquist"):
+        propagate(start, traj, params, 1.45)
+
+
 def test_constant_acceleration_returns_to_moving_ground_state(params):
     traj = make_constant_acceleration(1.0, 2 * TWO_PI)
     grid = make_grid(traj, params, 2048, alpha_extent=2.5, n_max=8)

@@ -324,8 +324,6 @@ def test_three_dimensional_ground_law():
 def test_degenerate_dimension_and_convention_validation():
     spec = DegenerateSpec((0.5, 0.5))
     with pytest.raises(ValueError):
-        degenerate_probability(0, 1, spec, dimension=3)
-    with pytest.raises(ValueError):
         degenerate_probability(0, 1, spec, convention="median")
 
 

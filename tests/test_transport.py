@@ -93,7 +93,7 @@ def test_objective_fast_transport_heats(params):
 
 def test_optimize_reaches_threshold_with_spare_freedom(params):
     problem = _poly_problem(params, d=1.0, periods=3.0, degree=5)
-    solution = optimize(problem, budget=2000)
+    solution = optimize(problem)
     assert solution.converged
     assert solution.residual < 1e-6
     assert solution.evaluations <= 2000
@@ -102,7 +102,7 @@ def test_optimize_reaches_threshold_with_spare_freedom(params):
 
 def test_optimize_zero_displacement_is_immediate(params):
     problem = _poly_problem(params, d=0.0)
-    solution = optimize(problem, budget=100)
+    solution = optimize(problem)
     assert solution.residual == 0.0
     assert solution.evaluations == 1
 
@@ -110,7 +110,7 @@ def test_optimize_zero_displacement_is_immediate(params):
 def test_optimize_fully_constrained_returns_unique_point(params):
     problem = _poly_problem(params, d=1.0, periods=0.1, degree=3)
     want = objective(problem, np.zeros(0))
-    solution = optimize(problem, budget=100)
+    solution = optimize(problem)
     assert solution.evaluations == 1
     assert solution.residual == want
     assert not solution.converged
@@ -120,14 +120,14 @@ def test_optimize_fully_constrained_returns_unique_point(params):
 def test_optimize_never_worse_than_seed(params):
     problem = _poly_problem(params, d=1.0, periods=1.3, degree=6)
     seed = np.array([0.02, -0.01, 0.005])
-    solution = optimize(problem, seed_params=seed, budget=300)
+    solution = optimize(problem, seed_params=seed)
     assert solution.residual <= objective(problem, seed)
 
 
 def test_optimize_is_deterministic(params):
     problem = _poly_problem(params, d=1.0, periods=2.0, degree=6)
-    a = optimize(problem, budget=400)
-    b = optimize(problem, budget=400)
+    a = optimize(problem)
+    b = optimize(problem)
     assert a.residual == b.residual
     assert np.array_equal(a.free_params, b.free_params)
 
@@ -135,7 +135,7 @@ def test_optimize_is_deterministic(params):
 def test_optimize_budget_respected_and_nonconvergence_flagged(params):
     # half-period transport cannot be cooled to the default threshold
     problem = _poly_problem(params, d=1.0, periods=0.5, degree=4)
-    solution = optimize(problem, budget=120)
+    solution = optimize(problem)
     assert solution.evaluations <= 120
     assert not solution.converged
     assert solution.residual > 1e-8
@@ -144,7 +144,7 @@ def test_optimize_budget_respected_and_nonconvergence_flagged(params):
 def test_optimize_solves_in_n_free_plus_two_quadratures(params):
     # u(T) is affine in the free parameters: one least-squares step zeroes it
     problem = _poly_problem(params, d=1.0, periods=1.3, degree=6)
-    solution = optimize(problem, budget=50, threshold=0.0)
+    solution = optimize(problem, threshold=0.0)
     assert solution.residual <= 1e-20
     assert solution.evaluations == problem.family.n_free + 2
     assert not solution.converged  # nothing is below a zero threshold
@@ -172,7 +172,7 @@ def test_one_free_parameter_solve_is_the_global_minimum(params):
     best = int(np.argmin(scan))
     assert 0 < best < xs.size - 1  # an interior minimum, so it is the global one
 
-    solution = optimize(problem, budget=50)
+    solution = optimize(problem)
     assert solution.evaluations == 3
     assert not solution.converged
     assert solution.residual <= scan[best] * (1.0 + 1e-9)
@@ -183,25 +183,8 @@ def test_one_free_parameter_solve_is_the_global_minimum(params):
 
 def test_optimize_validates_budget_and_seed(params):
     problem = _poly_problem(params)
-    with pytest.raises(ValueError, match="n_free \\+ 2 = 4"):
-        optimize(problem, budget=3)
     with pytest.raises(ValueError):
-        optimize(problem, seed_params=np.zeros(5), budget=100)
-
-
-def test_optimize_budget_must_cover_the_solve(params):
-    # the solve needs n_free + 2 = 59 quadratures, more than the minimum 50
-    with pytest.raises(ValueError):
-        optimize(_poly_problem(params, degree=60), budget=50)
-
-
-def test_optimize_accepts_the_least_budget_that_covers_the_solve(params):
-    # n_free + 2 = 5 quadratures, far below any fixed floor
-    problem = _poly_problem(params, d=1.0, periods=1.3, degree=6)
-    solution = optimize(problem, budget=5, threshold=0.0)
-    assert solution.evaluations == 5
-    assert solution.residual <= 1e-20
-    verify_boundaries(solution.trajectory, problem)
+        optimize(problem, seed_params=np.zeros(5))
 
 
 def test_quadratic_scaling_of_optimal_residual(params):
@@ -212,15 +195,15 @@ def test_quadratic_scaling_of_optimal_residual(params):
     p1 = TransportProblem(1.0, T, params, family)
     p2 = TransportProblem(2.0, T, params, family)
     seed = family.seed(p1)
-    s1 = optimize(p1, seed_params=seed, budget=600, threshold=0.0)
-    s2 = optimize(p2, seed_params=2 * seed, budget=600, threshold=0.0)
+    s1 = optimize(p1, seed_params=seed, threshold=0.0)
+    s2 = optimize(p2, seed_params=2 * seed, threshold=0.0)
     assert s1.residual > 0.0
     assert s2.residual / s1.residual == pytest.approx(4.0, abs=1e-6)
 
 
 def test_optimize_with_piecewise_family(params):
     problem = TransportProblem(1.0, 3 * TWO_PI, params, PiecewiseAccelerationFamily(5))
-    solution = optimize(problem, budget=1500)
+    solution = optimize(problem)
     assert solution.residual < 1e-6
     verify_boundaries(solution.trajectory, problem)
 
@@ -228,5 +211,5 @@ def test_optimize_with_piecewise_family(params):
 def test_optimize_accepts_explicit_quadrature_config(params):
     problem = _poly_problem(params, d=1.0, periods=2.0)
     cfg = QuadratureConfig(steps_per_period=32, tol=1e-7)
-    solution = optimize(problem, budget=400, cfg=cfg)
+    solution = optimize(problem, cfg=cfg)
     assert solution.residual < 1e-4
