@@ -467,6 +467,16 @@ def cmd_sweep(scn: Scenario, out) -> int:
     return 0
 
 
+#: transport family -> (its class, the [transport] key for its size and that
+#: size's default, the label of the printed parameters, the method giving them)
+_TRANSPORT_FAMILIES = {
+    "polynomial": (tp.PolynomialFamily, "degree", 5, "coefficients",
+                   tp.PolynomialFamily.coefficients),
+    "piecewise": (tp.PiecewiseAccelerationFamily, "segments", 4, "segment_accelerations",
+                  tp.PiecewiseAccelerationFamily.accelerations),
+}
+
+
 def cmd_transport(scn: Scenario, out) -> int:
     params = build_params(scn)
     sec = scn.section("transport", required=True)
@@ -479,26 +489,18 @@ def cmd_transport(scn: Scenario, out) -> int:
         raise ConfigError("[transport] needs duration or duration_periods")
     if duration is None:
         duration = periods * params.period
-    family_name = sec.string("family", default="polynomial",
-                             choices=("polynomial", "piecewise"))
+    family_name = sec.string("family", default="polynomial", choices=tuple(_TRANSPORT_FAMILIES))
+    cls, size_key, size, kind, printed = _TRANSPORT_FAMILIES[family_name]
     samples = sec.integer("samples", default=201, minimum=0)
     try:
-        if family_name == "piecewise":
-            family = tp.PiecewiseAccelerationFamily(sec.integer("segments", default=4))
-        else:
-            family = tp.PolynomialFamily(sec.integer("degree", default=5))
+        family = cls(sec.integer(size_key, default=size))
         problem = tp.TransportProblem(displacement, duration, params, family)
         threshold = sec.number("threshold", default=tp.DEFAULT_THRESHOLD)
         solution = tp.optimize(problem, threshold=threshold)
     except ValueError as err:
         raise ConfigError(f"[transport]: {err}") from err
 
-    if family_name == "piecewise":
-        coeffs = family.accelerations(problem, solution.free_params)
-        kind = "segment_accelerations"
-    else:
-        coeffs = family.coefficients(problem, solution.free_params)
-        kind = "coefficients"
+    coeffs = printed(family, problem, solution.free_params)
     print(f"# {kind} = {','.join(_fmt(c) for c in coeffs)}", file=out)
     print(f"# residual = {_fmt(solution.residual)}", file=out)
     print(f"# evaluations = {solution.evaluations}", file=out)

@@ -8,6 +8,14 @@ rest. Every built-in family keeps the acceleration continuous: sudden starts
 and stops are represented by short C2 quintic-smoothstep ramps, so downstream
 quadratures never see a distributional kick.
 
+Every built-in b(t) except the sinusoid is a piecewise polynomial, and the
+circle's phase is one too. Each of these is one private piece table: sorted
+piece edges and, per piece, b's coefficients (lowest power first) in the time
+since that piece starts. One Horner evaluator gives b, b' and b'' from the
+table and its exact coefficient derivatives, and the interior edges are the
+axis breakpoints. Exactly at an edge the right-hand piece applies, so b'' there
+is one-sided: the value of the piece that starts at that edge.
+
 Evaluators accept a float or a numpy array and are pure functions of time;
 all types are immutable after construction and safe to share across threads.
 """
@@ -86,7 +94,8 @@ class Axis:
     periodic center motion); quadratures resolve it in addition to the
     oscillator period. ``breakpoints`` lists interior times where b'' is not
     smooth; quadratures split their grids there and sample each smooth piece
-    one-sidedly, so evaluators never need two-sided limits.
+    one-sidedly, so evaluators never need two-sided limits. Exactly at a
+    breakpoint the built-in evaluators return the right-hand piece's value.
     """
 
     b: Evaluator
@@ -124,47 +133,84 @@ class Trajectory:
         )
 
 
-# --- C2 quintic smoothstep: sigma(u) = 6u^5 - 15u^4 + 10u^3 on [0, 1],
-#     clamped outside, so sigma' vanishes identically beyond the ramp.
+def _piece_evaluator(starts: np.ndarray, table: np.ndarray) -> Evaluator:
+    """Horner evaluation of ``table`` (one coefficient array per power, one
+    entry per piece) in the time since the start of the piece that holds t.
+    The right-hand piece holds an edge; the first piece starts at 0 and also
+    holds t < 0."""
+    if starts.size == 1:
+        powers = table[:, 0].tolist()
 
-def _sigma(u):
-    u = np.clip(u, 0.0, 1.0)
-    return u ** 3 * (10.0 + u * (6.0 * u - 15.0))
+        def single(t):
+            tau = np.asarray(t, dtype=float)
+            # numpy's polyval, operation for operation
+            acc = powers[-1] + 0.0 * tau
+            for c in powers[-2::-1]:
+                acc = c + acc * tau
+            return acc
+
+        return single
+
+    def piecewise(t):
+        t = np.asarray(t, dtype=float)
+        idx = np.maximum(np.searchsorted(starts, t, side="right") - 1, 0)
+        tau = t - starts[idx]
+        acc = table[-1][idx]
+        for row in table[-2::-1]:
+            acc = row[idx] + acc * tau
+        return acc
+
+    return piecewise
 
 
-def _sigma_rate(u):
-    u = np.clip(u, 0.0, 1.0)
-    return 30.0 * u ** 2 * (1.0 - u) ** 2
+def _piece_table(starts, rows, T: float):
+    """b, b' and b'' evaluators and the interior edges of a piece table.
+
+    ``starts`` are the sorted piece edges, the first at 0; ``rows[i]`` holds
+    b's coefficients on piece i, lowest power first, in the time since
+    ``starts[i]``.
+    """
+    width = max(len(row) for row in rows)
+    table = np.array([list(row) + [0.0] * (width - len(row)) for row in rows], dtype=float).T
+    starts = np.asarray(starts, dtype=float)
+    rate = _derivative(table)
+    evaluators = tuple(_piece_evaluator(starts, c) for c in (table, rate, _derivative(rate)))
+    return evaluators, tuple(s for s in starts.tolist() if 0.0 < s < T)
 
 
-def _sigma_area(u):
-    # integral of sigma from 0: u^6 - 3u^5 + 2.5u^4, equal to 1/2 at u = 1
-    u = np.clip(u, 0.0, 1.0)
-    return u ** 4 * (2.5 + u * (u - 3.0))
+def _derivative(table: np.ndarray) -> np.ndarray:
+    """Exact coefficient table of the derivative, in the order (and with the
+    rounding) of numpy's ``polyder``; a constant's is one zero power."""
+    if len(table) == 1:
+        return 0.0 * table
+    return table[1:] * np.arange(1.0, len(table))[:, None]
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
+def _piecewise_axis(starts, rows, T: float) -> Axis:
+    """An axis whose b is the piece table ``(starts, rows)``; the boundary
+    flags are read off the first row."""
+    (b, bdot, bddot), breakpoints = _piece_table(starts, rows, T)
+    first = rows[0]
+    return Axis(b=b, bdot=bdot, bddot=bddot, starts_at_zero=bool(first[0] == 0.0),
+                starts_at_rest=bool(first[1] == 0.0) if len(first) > 1 else True,
+                breakpoints=breakpoints)
 
 
-def _ramp(scale: float, T_a: float, stop: float | None = None):
-    """Position, rate and acceleration of a rate that ramps smoothly from 0 to
-    ``scale`` over [0, T_a] and, if ``stop`` is given, back to 0 over
-    [stop, stop + T_a]. The position is the exact integral of the rate."""
-
-    def ramped(factor, piece):
-        def evaluate(t):
-            t = np.asarray(t, dtype=float)
-            out = piece(t)
-            if stop is not None:
-                out = out - piece(t - stop)
-            return factor * out
-
-        return evaluate
-
-    return (ramped(scale, lambda s: T_a * _sigma_area(s / T_a) + _relu(s - T_a)),
-            ramped(scale, lambda s: _sigma(s / T_a)),
-            ramped(scale / T_a, lambda s: _sigma_rate(s / T_a)))
+def _kick_rows(v: float, T_a: float, stop: float | None):
+    """Piece starts and rows of a rate that ramps from 0 to v over [0, T_a]
+    (quintic smoothstep sigma(u) = 10u^3 - 15u^4 + 6u^5) and, if ``stop`` is
+    given, back to 0 over [stop, stop + T_a]. The rows are the closed-form
+    integrals, so the position is exact and the rate is exactly 0 (and b
+    exactly v * stop) from stop + T_a on."""
+    starts = [0.0, T_a]
+    rows = [(0.0, 0.0, 0.0, 0.0, 2.5 * v / T_a ** 3, -3.0 * v / T_a ** 4, v / T_a ** 5),
+            (v * T_a / 2.0, v)]
+    if stop is not None:
+        starts += [stop, stop + T_a]
+        rows += [(v * (stop - T_a / 2.0), v, 0.0, 0.0,
+                  -2.5 * v / T_a ** 3, 3.0 * v / T_a ** 4, -v / T_a ** 5),
+                 (v * stop,)]
+    return starts, rows
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -177,14 +223,7 @@ def make_constant_acceleration(a: float, T: float) -> Trajectory:
     _require_positive("T", T)
     if not math.isfinite(a):
         raise ValueError(f"a must be finite, got {a!r}")
-    axis = Axis(
-        b=lambda t: 0.5 * a * np.asarray(t, dtype=float) ** 2,
-        bdot=lambda t: a * np.asarray(t, dtype=float),
-        bddot=lambda t: a * np.ones_like(np.asarray(t, dtype=float)),
-        starts_at_zero=True,
-        starts_at_rest=True,
-    )
-    return Trajectory((axis,), T)
+    return Trajectory((_piecewise_axis([0.0], [(0.0, 0.0, 0.5 * a)], T),), T)
 
 
 def make_kick(v: float, T_a: float, T: float, stop_at: float | None = None) -> Trajectory:
@@ -207,13 +246,7 @@ def make_kick(v: float, T_a: float, T: float, stop_at: float | None = None) -> T
             f"T_a={T_a!r}, T={T!r}"
         )
 
-    b, bdot, bddot = _ramp(v, T_a, stop_at)
-    cuts = [T_a] if T_a < T else []
-    if stop_at is not None:
-        cuts += [stop_at, stop_at + T_a] if stop_at + T_a < T else [stop_at]
-    axis = Axis(b=b, bdot=bdot, bddot=bddot, starts_at_zero=True,
-                starts_at_rest=True, breakpoints=tuple(cuts))
-    return Trajectory((axis,), T)
+    return Trajectory((_piecewise_axis(*_kick_rows(v, T_a, stop_at), T),), T)
 
 
 def make_sinusoidal(R: float, Omega: float, T: float) -> Trajectory:
@@ -263,7 +296,7 @@ def make_circular(R: float, Omega: float, T_a: float, s: float) -> Trajectory:
     T = t_rev + T_a
     t_down = t_rev  # down-ramp occupies [T - T_a, T]
 
-    phase, phase_rate, phase_accel = _ramp(Omega, T_a, t_down)
+    (phase, phase_rate, phase_accel), cuts = _piece_table(*_kick_rows(Omega, T_a, t_down), T)
 
     def bx(t):
         return R * (1.0 - np.cos(phase(t)))
@@ -286,7 +319,6 @@ def make_circular(R: float, Omega: float, T_a: float, s: float) -> Trajectory:
         return R * (phase_accel(t) * np.cos(p) - phase_rate(t) ** 2 * np.sin(p))
 
     drive_period = 2.0 * math.pi / Omega
-    cuts = (T_a, t_down)
     axis_x = Axis(b=bx, bdot=bx_dot, bddot=bx_ddot, starts_at_zero=True,
                   starts_at_rest=True, feature_time=drive_period, breakpoints=cuts)
     axis_y = Axis(b=by, bdot=by_dot, bddot=by_ddot, starts_at_zero=True,
@@ -306,26 +338,7 @@ def make_polynomial(coeffs, T: float) -> Trajectory:
         raise ValueError("coeffs must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(c)):
         raise ValueError("coeffs must be finite")
-    c1 = np.polynomial.polynomial.polyder(c)
-    c2 = np.polynomial.polynomial.polyder(c, 2)
-
-    def _poly(coef):
-        if coef.size == 0:
-            coef = np.zeros(1)
-
-        def ev(t):
-            return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), coef)
-
-        return ev
-
-    axis = Axis(
-        b=_poly(c),
-        bdot=_poly(c1),
-        bddot=_poly(c2),
-        starts_at_zero=bool(c[0] == 0.0),
-        starts_at_rest=bool(c[1] == 0.0) if c.size > 1 else True,
-    )
-    return Trajectory((axis,), T)
+    return Trajectory((_piecewise_axis([0.0], [c.tolist()], T),), T)
 
 
 def make_axis(b: Evaluator, bdot: Evaluator, bddot: Evaluator, *,

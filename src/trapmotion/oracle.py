@@ -315,18 +315,18 @@ def propagate(state: GridState, traj: Trajectory, params: OscillatorParams,
     x = grid.x
     v_coef = -1j * dt * params.mass * omega ** 2 / (2.0 * params.hbar)
 
+    t_mid = t0 + (np.arange(n_steps) + 0.5) * dt
+    b_mid = np.asarray(ax.b(t_mid), dtype=float)
     psi = state.psi.astype(complex, copy=True)
     psi = np.fft.ifft(kin_half * np.fft.fft(psi))
     for j in range(n_steps):
-        t_mid = t0 + (j + 0.5) * dt
-        b_mid = float(ax.b(t_mid))
-        psi *= np.exp(v_coef * (x - b_mid) ** 2)
+        psi *= np.exp(v_coef * (x - b_mid[j]) ** 2)
         phi = np.fft.fft(psi)
         if j < n_steps - 1:
             psi = np.fft.ifft(kin_full * phi)
         if j % _EDGE_CHECK_EVERY == _EDGE_CHECK_EVERY - 1:
-            _check_extent(psi, grid, f"wavepacket at t ~ {t_mid:.6g}")
-            _check_bandwidth(phi, grid, f"wavepacket at t ~ {t_mid:.6g}")
+            _check_extent(psi, grid, f"wavepacket at t ~ {t_mid[j]:.6g}")
+            _check_bandwidth(phi, grid, f"wavepacket at t ~ {t_mid[j]:.6g}")
     psi = np.fft.ifft(kin_half * phi)
 
     end = GridState(grid, psi, t_final)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .excitation import ExcitationResult, QuadratureConfig, excitation_amplitude
-from .model import Axis, OscillatorParams, Trajectory
+from .model import OscillatorParams, Trajectory, _piecewise_axis
 
 #: Residual gamma below which a solution counts as converged (mean phonon
 #: number; dimensionless).
@@ -104,7 +104,8 @@ class PiecewiseAccelerationFamily:
     """b'' piecewise constant on equal-length segments of [0, T].
 
     The velocity and position conditions at T eliminate the last two segment
-    accelerations; the first (segments - 2) are free.
+    accelerations; the first (segments - 2) are free. Exactly at a segment
+    edge b'' is the right-hand segment's acceleration.
     """
 
     segments: int
@@ -143,42 +144,10 @@ class PiecewiseAccelerationFamily:
         accel = self.accelerations(problem, free_params)
         n = self.segments
         dt = problem.duration / n
-        edges = dt * np.arange(n + 1)
-        interior = edges[1:-1]
         v_start = np.concatenate(([0.0], np.cumsum(accel * dt)))
         b_start = np.concatenate(([0.0], np.cumsum(v_start[:-1] * dt + 0.5 * accel * dt ** 2)))
-
-        def locate(t):
-            t = np.asarray(t, dtype=float)
-            idx = np.clip((t / dt).astype(int), 0, n - 1)
-            return t, idx, t - edges[idx]
-
-        def b(t):
-            _, idx, tau = locate(t)
-            return b_start[idx] + v_start[idx] * tau + 0.5 * accel[idx] * tau ** 2
-
-        def bdot(t):
-            _, idx, tau = locate(t)
-            return v_start[idx] + accel[idx] * tau
-
-        def bddot(t):
-            # mean of the one-sided limits exactly at a segment edge; the
-            # quadratures sample inside the pieces, this is for direct callers
-            t, idx, _ = locate(t)
-            scalar = t.ndim == 0
-            flat = np.atleast_1d(t)
-            vals = accel[np.atleast_1d(idx)].astype(float)
-            if interior.size:
-                pos = np.searchsorted(interior, flat)
-                safe = np.minimum(pos, interior.size - 1)
-                hit = (pos < interior.size) & (interior[safe] == flat)
-                if np.any(hit):
-                    j = pos[hit]
-                    vals[hit] = 0.5 * (accel[j] + accel[j + 1])
-            return float(vals[0]) if scalar else vals
-
-        axis = Axis(b=b, bdot=bdot, bddot=bddot, starts_at_zero=True,
-                    starts_at_rest=True, breakpoints=tuple(interior))
+        rows = list(zip(b_start[:-1], v_start[:-1], 0.5 * accel))
+        axis = _piecewise_axis(dt * np.arange(n), rows, problem.duration)
         return Trajectory((axis,), problem.duration)
 
     def seed(self, problem: "TransportProblem") -> np.ndarray:

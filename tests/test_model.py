@@ -6,6 +6,8 @@ import pytest
 from trapmotion import (
     Axis,
     OscillatorParams,
+    PiecewiseAccelerationFamily,
+    TransportProblem,
     make_axis,
     make_circular,
     make_constant_acceleration,
@@ -113,6 +115,76 @@ def test_kick_stop_brings_center_to_rest():
     assert float(ax.bddot(7.0)) == 0.0
     # displacement is frozen after the stop ramp
     assert float(ax.b(9.0)) == pytest.approx(float(ax.b(5.0 + T_a)), rel=1e-14)
+
+
+def _smoothstep_kick(v, T_a, stop, t):
+    """Reference kick from the quintic smoothstep sigma(u) = 10u^3 - 15u^4 + 6u^5,
+    clamped to [0, 1]: (position, rate, acceleration) at times t."""
+    def sigma(u):
+        u = np.clip(u, 0.0, 1.0)
+        return u ** 3 * (10.0 + u * (6.0 * u - 15.0))
+
+    def sigma_rate(u):
+        u = np.clip(u, 0.0, 1.0)
+        return 30.0 * u ** 2 * (1.0 - u) ** 2
+
+    def sigma_area(u):
+        # integral of sigma from 0, equal to 1/2 at u = 1
+        u = np.clip(u, 0.0, 1.0)
+        return u ** 4 * (2.5 + u * (u - 3.0))
+
+    def ramp(s):
+        return (T_a * sigma_area(s / T_a) + np.maximum(s - T_a, 0.0),
+                sigma(s / T_a), sigma_rate(s / T_a) / T_a)
+
+    out = np.array(ramp(t))
+    if stop is not None:
+        out -= np.array(ramp(t - stop))
+    return v * out
+
+
+def _dense_grid(T, edges):
+    edges = np.asarray(edges, dtype=float)
+    return np.unique(np.concatenate((np.linspace(0.0, T, 20001), edges,
+                                     np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf))))
+
+
+@pytest.mark.parametrize("v,T_a,T,stop", [
+    (1.3, 0.21, 9.0, None),
+    (0.8, 0.3, 9.0, 5.0),
+    (-2.0, 0.3, 9.0, 8.7),
+])
+def test_kick_matches_smoothstep_reference(v, T_a, T, stop):
+    ax = make_kick(v, T_a, T, stop_at=stop).axes[0]
+    edges = [0.0, T_a, T] + ([] if stop is None else [stop, stop + T_a])
+    ts = _dense_grid(T, edges)
+    for got, want in zip((ax.b(ts), ax.bdot(ts), ax.bddot(ts)), _smoothstep_kick(v, T_a, stop, ts)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if stop is not None:
+        assert float(ax.bdot(T)) == 0.0
+        assert float(ax.bddot(T)) == 0.0
+
+
+def test_circular_matches_smoothstep_reference():
+    R, Omega, T_a, s = 0.9, 0.8, 0.05, 3
+    traj = make_circular(R, Omega, T_a, s)
+    T = traj.duration
+    t_rev = T - T_a
+    ts = _dense_grid(T, [0.0, T_a, t_rev, T])
+    p, rate, accel = _smoothstep_kick(Omega, T_a, t_rev, ts)
+    want = ((R * (1.0 - np.cos(p)), R * rate * np.sin(p),
+             R * (accel * np.sin(p) + rate ** 2 * np.cos(p))),
+            (R * np.sin(p), R * rate * np.cos(p),
+             R * (accel * np.cos(p) - rate ** 2 * np.sin(p))))
+    # near the end sin(p) ~ 0 and b'' is a small difference of large terms,
+    # so it is compared with the size of those terms
+    scales = (R, R * Omega, R * max(np.max(np.abs(accel)), Omega ** 2))
+    for ax, axis_want in zip(traj.axes, want):
+        got = (ax.b(ts), ax.bdot(ts), ax.bddot(ts))
+        for g, w, scale in zip(got, axis_want, scales):
+            assert np.max(np.abs(g - w)) <= 1e-13 * scale
+        assert float(ax.bdot(T)) == 0.0
+        assert float(ax.bddot(T)) == 0.0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -250,7 +322,14 @@ def _families():
         ("sinusoid", make_sinusoidal(1.1, 1.7, 9.0)),
         ("circular", make_circular(0.9, 0.8, 0.05, 1)),
         ("poly", make_polynomial([0.0, 0.0, 0.4, -0.05, 0.002], 9.0)),
+        ("piecewise", _piecewise(5, 9.0, [0.02, -0.05, 0.03])[0]),
     ]
+
+
+def _piecewise(segments, T, free):
+    family = PiecewiseAccelerationFamily(segments)
+    problem = TransportProblem(1.0, T, OscillatorParams.dimensionless(), family)
+    return family.build(problem, free), family.accelerations(problem, free)
 
 
 @pytest.mark.parametrize("name,traj", _families())
@@ -273,6 +352,33 @@ def test_central_differences_reproduce_derivatives(name, traj):
         a = np.asarray(ax.bddot(ts))
         a_scale = max(np.max(np.abs(a)), 1e-12)
         assert np.max(np.abs((vp - vm) / (2 * h) - a)) < 1e-6 * a_scale
+
+
+def test_breakpoints_are_the_interior_piece_edges():
+    cases = [
+        (make_kick(1.3, 0.21, 9.0), (0.21,)),
+        (make_kick(1.3, 9.0, 9.0), ()),
+        (make_kick(0.8, 0.3, 9.0, stop_at=5.0), (0.3, 5.0, 5.3)),
+        (make_kick(0.8, 0.3, 9.0, stop_at=8.7), (0.3, 8.7)),
+        (make_circular(0.9, 0.8, 0.05, 1), (0.05, 2.0 * math.pi / 0.8)),
+        (_piecewise(5, 9.0, [0.02, -0.05, 0.03])[0], tuple(1.8 * np.arange(1, 5))),
+        (make_constant_acceleration(0.7, 9.0), ()),
+    ]
+    for traj, edges in cases:
+        for ax in traj.axes:
+            assert ax.breakpoints == pytest.approx(edges, rel=1e-15)
+
+
+def test_piecewise_acceleration_at_an_edge_is_the_right_hand_segment():
+    traj, accel = _piecewise(5, 9.0, [0.02, -0.05, 0.03])
+    ax = traj.axes[0]
+    edges = np.array(ax.breakpoints)
+    assert np.array_equal(ax.bddot(edges), accel[1:])
+    assert [float(ax.bddot(t)) for t in edges] == accel[1:].tolist()
+    # inside the segments and at the ends
+    assert np.array_equal(ax.bddot(edges - 0.9), accel[:-1])
+    assert float(ax.bddot(0.0)) == accel[0]
+    assert float(ax.bddot(9.0)) == accel[-1]
 
 
 def test_linear_offset_leaves_acceleration_unchanged():
