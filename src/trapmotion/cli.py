@@ -42,10 +42,12 @@ from .model import (
     make_sinusoidal,
 )
 from . import oracle as orc
+from .quadrature import SCHEMES, QuadratureConfig
 
 DEMOS = ("constant_accel", "kick_g5", "sinusoid_resonance", "rotating_g20",
          "transport_3period")
 
+#: Every key a section accepts; ``[run] oracle`` has no effect, kept for old configs.
 _SECTION_KEYS = {
     "oscillator": ("dimensionless", "mass", "omega", "hbar"),
     "trajectory": ("family", "a", "v", "T_a", "T", "stop_at", "R", "Omega", "s", "coeffs"),
@@ -193,14 +195,10 @@ class Scenario:
         return self.sections[name]
 
     def echo(self, stream) -> None:
-        for name in ("oscillator", "trajectory", "run", "sweep", "transport"):
-            if name not in self.sections:
-                continue
-            resolved = self.sections[name].resolved
-            if not resolved:
-                continue
-            for key in sorted(resolved):
-                print(f"# [{name}] {key} = {resolved[key]}", file=stream)
+        for name in _SECTION_KEYS:
+            if name in self.sections:
+                for key, value in sorted(self.sections[name].resolved.items()):
+                    print(f"# [{name}] {key} = {value}", file=stream)
 
 
 def build_params(scn: Scenario) -> OscillatorParams:
@@ -300,14 +298,15 @@ def build_times(scn: Scenario, params: OscillatorParams, traj: Trajectory) -> li
     return out
 
 
-def build_quadrature(scn: Scenario) -> exc.QuadratureConfig:
+def build_quadrature(scn: Scenario) -> QuadratureConfig:
     run = scn.section("run")
+    default = QuadratureConfig()
     try:
-        return exc.QuadratureConfig(
-            steps_per_period=run.integer("quadrature_steps_per_period", default=64),
-            scheme=run.string("quadrature_scheme", default="adaptive-simpson",
-                              choices=("adaptive-simpson", "composite-filon")),
-            tol=run.number("quadrature_tol", default=1e-8),
+        return QuadratureConfig(
+            steps_per_period=run.integer("quadrature_steps_per_period",
+                                         default=default.steps_per_period),
+            scheme=run.string("quadrature_scheme", default=default.scheme, choices=SCHEMES),
+            tol=run.number("quadrature_tol", default=default.tol),
         )
     except ValueError as err:
         raise ConfigError(f"[run]: {err}") from err
@@ -359,9 +358,9 @@ def cmd_probs(scn: Scenario, out) -> int:
         return 0
     print("t,w,m_level,n_level,prob_sum,prob_avg", file=out)
     for t in times:
-        gx = exc.excitation_amplitude(traj, params, t, cfg, axis=0, with_phase=False).gamma
-        gy = exc.excitation_amplitude(traj, params, t, cfg, axis=1, with_phase=False).gamma
-        spec = trans.DegenerateSpec((gx, gy))
+        spec = trans.DegenerateSpec(tuple(
+            exc.excitation_amplitude(part, params, t, cfg, with_phase=False).gamma
+            for part in traj.split()))
         for m_level in range(max_level + 1):
             for n_level in range(max_level + 1):
                 p_sum = trans.degenerate_probability(m_level, n_level, spec)
@@ -377,8 +376,6 @@ def cmd_oracle(scn: Scenario, out) -> int:
     if traj.dimension != 1:
         raise ConfigError("oracle runs are 1-D; 2-D scenarios factor into per-axis checks")
     run = scn.section("run")
-    if not run.boolean("oracle", default=False):
-        raise ConfigError("[run] oracle = on is required for the oracle command")
     times = sorted(build_times(scn, params, traj))
     cfg = build_quadrature(scn)
     max_level = run.integer("max_level", default=8, minimum=0)

@@ -4,7 +4,9 @@ The trap is a harmonic well of fixed frequency whose center follows a
 prescribed path b(t). A :class:`Trajectory` bundles, per spatial axis, exact
 closed-form evaluators for the center position, velocity, and acceleration,
 together with flags recording whether the motion starts from the origin at
-rest. Every built-in family keeps the acceleration continuous: sudden starts
+rest. The axes are independent oscillators and every computation takes one:
+:meth:`Trajectory.split` gives a 2-D trajectory's axes as 1-D trajectories.
+Every built-in family keeps the acceleration continuous: sudden starts
 and stops are represented by short C2 quintic-smoothstep ramps, so downstream
 quadratures never see a distributional kick.
 
@@ -124,13 +126,11 @@ class Trajectory:
     def dimension(self) -> int:
         return len(self.axes)
 
-    @property
-    def boundary_flags(self) -> tuple[bool, bool]:
-        """(b(0) = 0 on every axis, b'(0) = 0 on every axis)."""
-        return (
-            all(a.starts_at_zero for a in self.axes),
-            all(a.starts_at_rest for a in self.axes),
-        )
+    def split(self) -> tuple[Trajectory, ...]:
+        """One 1-D trajectory per axis, sharing this duration; ``(self,)`` in 1-D."""
+        if self.dimension == 1:
+            return (self,)
+        return tuple(Trajectory((ax,), self.duration) for ax in self.axes)
 
 
 def _piece_evaluator(starts: np.ndarray, table: np.ndarray) -> Evaluator:

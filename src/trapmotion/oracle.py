@@ -15,7 +15,8 @@ Nyquist wavenumber pi / dx around the boost wavenumber M v / hbar; the Hermite
 recurrence also needs exp(-reach^2 / 2) in float64 range (n <= 532). A level
 that does not fit raises :class:`ResourceError`.
 
-A propagation run owns its state; independent runs are trivially parallel.
+Every function that takes a trajectory takes one axis: a 1-D Trajectory or an
+Axis. A propagation run owns its state; independent runs are trivially parallel.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ResourceError, TruncationWarning
 from .excitation import _check_time, _delta_prefactor, _resolve_axis
-from .model import OscillatorParams, Trajectory
+from .model import Axis, OscillatorParams, Trajectory
 from .quadrature import QuadratureConfig, running_integrals
 
 #: Minimum propagation resolution, steps per trap period.
@@ -69,15 +70,17 @@ class Grid:
 
 
 def make_grid(traj: Trajectory, params: OscillatorParams, points: int = 4096, *,
-              axis: int = 0, alpha_extent: float = 0.0, n_max: int = 0) -> Grid:
+              alpha_extent: float = 0.0, n_max: int = 0) -> Grid:
     """Grid sized from the trajectory excursion plus state-extent margins.
 
     The margin covers eight ground-state widths, the coherent displacement
     sqrt(2) * |alpha|, and the classical turning point of Fock level
     ``n_max``.
     """
-    ax = traj.axes[axis]
-    ts = np.linspace(0.0, traj.duration, 2049)
+    ax, duration = _resolve_axis(traj)
+    if duration is None:
+        raise TypeError("make_grid samples the excursion over a 1-D Trajectory's duration")
+    ts = np.linspace(0.0, duration, 2049)
     b = np.asarray(ax.b(ts), dtype=float)
     sigma = params.ground_width
     margin = (_MARGIN_WIDTHS + math.sqrt(2.0) * abs(alpha_extent)
@@ -237,8 +240,8 @@ def _gaussian(params: OscillatorParams, grid: Grid, t: float, *, center: float, 
 
 
 def coherent_state(alpha: complex, params: OscillatorParams, grid: Grid,
-                   t: float = 0.0, traj: Trajectory | None = None,
-                   cfg: QuadratureConfig | None = None, *, axis: int = 0) -> GridState:
+                   t: float = 0.0, traj: Trajectory | Axis | None = None,
+                   cfg: QuadratureConfig | None = None) -> GridState:
     """Exact driven coherent state at time t, sampled on the grid.
 
     With no trajectory (or at t = 0) this is the ordinary coherent state
@@ -248,7 +251,7 @@ def coherent_state(alpha: complex, params: OscillatorParams, grid: Grid,
     reference for the propagator.
     """
     alpha = complex(alpha)
-    ax, duration = _resolve_axis(traj, axis) if traj is not None else (None, None)
+    ax, duration = _resolve_axis(traj) if traj is not None else (None, None)
     _check_time(t, duration)
     if ax is not None and t > 0.0:
         delta, theta1, theta2 = _delta_profile(ax, params, t, cfg or QuadratureConfig())
@@ -262,9 +265,8 @@ def coherent_state(alpha: complex, params: OscillatorParams, grid: Grid,
 
 
 def moving_frame_coherent_state(beta: complex, params: OscillatorParams, grid: Grid,
-                                t: float, traj: Trajectory,
-                                cfg: QuadratureConfig | None = None, *,
-                                axis: int = 0) -> GridState:
+                                t: float, traj: Trajectory | Axis,
+                                cfg: QuadratureConfig | None = None) -> GridState:
     """Unforced coherent state |beta> relative to the moving center b(t).
 
     Sampled in the lab frame: a Gaussian centered near b(t) carrying the
@@ -272,7 +274,7 @@ def moving_frame_coherent_state(beta: complex, params: OscillatorParams, grid: G
     frame, (M / 2 hbar) * integral b'^2.
     """
     beta = complex(beta)
-    ax, duration = _resolve_axis(traj, axis)
+    ax, duration = _resolve_axis(traj)
     _check_time(t, duration)
     kin = (_kinetic_integral(ax, t, cfg or QuadratureConfig()) * params.mass / (2.0 * params.hbar)
            if t else 0.0)
@@ -281,8 +283,8 @@ def moving_frame_coherent_state(beta: complex, params: OscillatorParams, grid: G
                      constant=-0.5 * abs(beta) ** 2 - 1j * kin, what="moving-frame coherent state")
 
 
-def propagate(state: GridState, traj: Trajectory, params: OscillatorParams,
-              t_final: float, steps_per_period: int = 2000, *, axis: int = 0) -> GridState:
+def propagate(state: GridState, traj: Trajectory | Axis, params: OscillatorParams,
+              t_final: float, steps_per_period: int = 2000) -> GridState:
     """Strang-split evolution of ``state`` from its own time to ``t_final``.
 
     Each step applies a spectral half kinetic step, the full potential step
@@ -296,8 +298,8 @@ def propagate(state: GridState, traj: Trajectory, params: OscillatorParams,
         raise ValueError(
             f"steps_per_period must be >= {MIN_STEPS_PER_PERIOD}, got {steps_per_period}"
         )
-    _check_time(t_final, traj.duration)
-    ax = traj.axes[axis]
+    ax, duration = _resolve_axis(traj)
+    _check_time(t_final, duration)
     t0 = state.t
     if t_final < t0:
         raise ValueError(f"t_final {t_final!r} precedes the state time {t0!r}")
@@ -339,8 +341,8 @@ def propagate(state: GridState, traj: Trajectory, params: OscillatorParams,
     return end
 
 
-def measure_transitions(state: GridState, traj: Trajectory, params: OscillatorParams,
-                        n_max: int, *, axis: int = 0) -> np.ndarray:
+def measure_transitions(state: GridState, traj: Trajectory | Axis, params: OscillatorParams,
+                        n_max: int) -> np.ndarray:
     """Populations |<n, moving frame | state>|^2 for n = 0..n_max.
 
     The reference states are Fock functions centered at b(t) with the boost
@@ -348,7 +350,7 @@ def measure_transitions(state: GridState, traj: Trajectory, params: OscillatorPa
     squared modulus. Level ``n_max`` must fit the grid around b(t), in
     position and in momentum (see the module docstring), or ResourceError.
     """
-    ax = traj.axes[axis]
+    ax, _ = _resolve_axis(traj)
     grid = state.grid
     basis = _fock_basis(n_max, float(ax.b(state.t)), float(ax.bdot(state.t)), params, grid)
     probs = np.abs(basis.conj() @ state.psi * grid.dx) ** 2

@@ -87,9 +87,8 @@ def test_04_quadrature_vs_closed_forms():
             T_a = 0.02 * TWO_PI / omega
             circ = tm.make_circular(R, Omega, T_a, s)
             w = sum(
-                tm.excitation_amplitude(circ, params, circ.duration, cfg,
-                                        axis=i, with_phase=False).gamma
-                for i in range(2)
+                tm.excitation_amplitude(part, params, circ.duration, cfg, with_phase=False).gamma
+                for part in circ.split()
             )
             want = tm.closed_form_circular(R, Omega, params, s)
             scale = max(want, tm.closed_form_circular_G(R, Omega, params))

@@ -298,10 +298,14 @@ def test_oracle_takes_gamma_and_delta_from_one_profile(tmp_path, capsys, monkeyp
     assert float(data[-1][5]) == pytest.approx(want, rel=1e-7)
 
 
-def test_oracle_requires_oracle_flag(tmp_path, capsys):
-    cfg = write_config(tmp_path, ORACLE_BASE.format(a=1.0, extra="").replace("oracle = on", ""))
-    code, _, err = run_cli(capsys, "oracle", "--config", cfg)
-    assert code == 2
+def test_oracle_runs_without_oracle_flag(tmp_path, capsys):
+    # [run] oracle is still accepted and has no effect
+    text = ORACLE_BASE.format(a=1.0, extra="")
+    with_key = run_cli(capsys, "oracle", "--config", write_config(tmp_path, text))
+    without = run_cli(capsys, "oracle", "--config", write_config(
+        tmp_path, text.replace("oracle = on", ""), name="without.cfg"))
+    assert without[0] == 0
+    assert without == with_key
 
 
 def test_oracle_measures_levels_above_sixty(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from trapmotion import (
     Axis,
+    Grid,
     NumericalError,
     OscillatorParams,
     QuadratureConfig,
@@ -18,13 +19,20 @@ from trapmotion import (
     closed_form_kick_stop,
     closed_form_sinusoidal,
     closed_form_sinusoidal_resonance,
+    coherent_state,
     excitation_amplitude,
+    excitation_profile,
     fixed_frame_delta,
+    fock_state,
     make_constant_acceleration,
     make_circular,
+    make_grid,
     make_kick,
     make_polynomial,
     make_sinusoidal,
+    measure_transitions,
+    moving_frame_coherent_state,
+    propagate,
     uniform_motion_gamma,
 )
 
@@ -90,6 +98,28 @@ def test_gamma_is_modulus_squared_of_u(params):
         res = excitation_amplitude(traj, params, t, with_phase=False)
         expect = abs(res.u) ** 2
         assert res.gamma == pytest.approx(expect, rel=1e-14)
+
+
+_ONE_AXIS_CALLS = {
+    "excitation_amplitude": lambda traj, p, state: excitation_amplitude(traj, p, 1.0),
+    "fixed_frame_delta": lambda traj, p, state: fixed_frame_delta(traj, p, 1.0),
+    "excitation_profile": lambda traj, p, state: excitation_profile(traj, p, [1.0]),
+    "make_grid": lambda traj, p, state: make_grid(traj, p, 1024),
+    "coherent_state": lambda traj, p, state: coherent_state(0.5, p, state.grid, 1.0, traj),
+    "moving_frame_coherent_state":
+        lambda traj, p, state: moving_frame_coherent_state(0.5, p, state.grid, 1.0, traj),
+    "propagate": lambda traj, p, state: propagate(state, traj, p, 1.0, 500),
+    "measure_transitions": lambda traj, p, state: measure_transitions(state, traj, p, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_AXIS_CALLS))
+def test_two_dimensional_trajectory_is_refused(params, name):
+    # each axis is its own oscillator: a 2-D trajectory must be split, not
+    # silently read as its x axis
+    state = fock_state(0, 0.0, 0.0, params, Grid(-20.0, 20.0, 1024))
+    with pytest.raises(ValueError, match="split"):
+        _ONE_AXIS_CALLS[name](make_circular(1.0, 0.5, 0.1, 1), params, state)
 
 
 def test_accepts_bare_axis(params):
@@ -402,8 +432,8 @@ def test_circular_quadrature_matches_closed_form(params):
         s = int(rng.integers(1, 4))
         traj = make_circular(R, Omega, T_a, s)
         w = sum(
-            excitation_amplitude(traj, params, traj.duration, axis=i, with_phase=False).gamma
-            for i in range(2)
+            excitation_amplitude(part, params, traj.duration, with_phase=False).gamma
+            for part in traj.split()
         )
         want = closed_form_circular(R, Omega, params, s)
         scale = max(want, closed_form_circular_G(R, Omega, params))

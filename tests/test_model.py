@@ -64,7 +64,7 @@ def test_constant_acceleration_kinematics():
     assert ax.b(2.0) == pytest.approx(2.0, rel=1e-15)
     assert ax.bdot(2.0) == pytest.approx(2.0, rel=1e-15)
     assert ax.bddot(2.0) == 1.0
-    assert traj.boundary_flags == (True, True)
+    assert (ax.starts_at_zero, ax.starts_at_rest) == (True, True)
 
 
 def test_constant_acceleration_derivative_consistency_at_interior_point():
@@ -216,7 +216,8 @@ def test_sinusoidal_zero_amplitude():
 
 def test_sinusoidal_boundary_flags():
     traj = make_sinusoidal(1.0, 2.0, 2 * math.pi)
-    assert traj.boundary_flags == (True, True)
+    ax, = traj.axes
+    assert (ax.starts_at_zero, ax.starts_at_rest) == (True, True)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -244,7 +245,18 @@ def test_circular_starts_at_rest_at_origin():
     for ax in traj.axes:
         assert float(ax.b(0.0)) == 0.0
         assert float(ax.bdot(0.0)) == 0.0
-    assert traj.boundary_flags == (True, True)
+        assert (ax.starts_at_zero, ax.starts_at_rest) == (True, True)
+
+
+def test_split_gives_one_trajectory_per_axis():
+    line = make_kick(1.0, 0.1, 5.0)
+    parts = line.split()
+    assert len(parts) == 1 and parts[0] is line
+    circ = make_circular(1.0, 0.5, 0.1, 1)
+    parts = circ.split()
+    assert [p.dimension for p in parts] == [1, 1]
+    assert [p.duration for p in parts] == [circ.duration] * 2
+    assert all(p.axes[0] is ax for p, ax in zip(parts, circ.axes))
 
 
 def test_circular_completes_whole_revolutions():

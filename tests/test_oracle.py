@@ -48,6 +48,17 @@ def test_grid_validation():
         Grid(1.0, -1.0, 512)
 
 
+def test_bare_axis_propagates_but_cannot_size_a_grid(params):
+    traj = make_kick(1.0, 0.1, 5.0)
+    start = fock_state(0, 0.0, 0.0, params, make_grid(traj, params, 1024))
+    by_axis = propagate(start, traj.axes[0], params, 1.0, 500)
+    assert np.array_equal(by_axis.psi, propagate(start, traj, params, 1.0, 500).psi)
+    assert np.array_equal(measure_transitions(by_axis, traj.axes[0], params, 4),
+                          measure_transitions(by_axis, traj, params, 4))
+    with pytest.raises(TypeError):
+        make_grid(traj.axes[0], params, 1024)  # it samples the trajectory's duration
+
+
 def test_make_grid_covers_excursion(params):
     traj = make_constant_acceleration(1.0, TWO_PI)
     grid = make_grid(traj, params, 512, alpha_extent=2.0, n_max=8)
