@@ -392,6 +392,8 @@ def cmd_oracle(scn: Scenario, out) -> int:
     except ValueError as err:
         raise ConfigError(f"[run]: {err}") from err
     ax = traj.axes[0]
+    for t in times:  # refuse an instant that cannot be measured before propagating
+        orc._check_fit(max_level, float(ax.b(t)), float(ax.bdot(t)), params, grid)
     state = orc.fock_state(0, float(ax.b(0.0)), float(ax.bdot(0.0)), params, grid)
 
     print("t,n,p_analytic,p_grid,abs_dev,gamma,delta_sq", file=out)

@@ -318,6 +318,38 @@ def test_oracle_measures_levels_above_sixty(tmp_path, capsys):
     assert [int(r[1]) for r in data] == list(range(71))
 
 
+DEMO_SHAPED_ORACLE = """
+[oscillator]
+dimensionless = on
+
+[trajectory]
+family = constant_acceleration
+a = 1.0
+T = 31.5
+
+[run]
+times_per_period = {periods}
+max_level = 8
+steps_per_period = 500
+"""
+
+
+def test_oracle_refuses_an_unmeasurable_instant_before_propagating(tmp_path, capsys):
+    # the grid is sized from the excursion, so at t = 6 pi level 8 boosted to
+    # velocity 6 pi passes its Nyquist wavenumber; t = 2 pi and 4 pi still fit
+    full = write_config(tmp_path, DEMO_SHAPED_ORACLE.format(periods="1, 2, 3, 4, 5"))
+    code, out, err = run_cli(capsys, "oracle", "--config", full)
+    assert code == 3
+    assert out == ""
+    assert "Fock level 8 boosted to velocity 18.849" in err
+    fitting = write_config(tmp_path, DEMO_SHAPED_ORACLE.format(periods="1, 2"), name="fits.cfg")
+    code, out, _ = run_cli(capsys, "oracle", "--config", fitting)
+    assert code == 0
+    _, data = rows(out)
+    assert [(float(r[0]), int(r[1])) for r in data] == [
+        (pytest.approx(k * 2.0 * math.pi, rel=1e-10), n) for k in (1, 2) for n in range(9)]
+
+
 def test_oracle_delta_sq_agreement_at_return_instant(tmp_path, capsys):
     cfg = write_config(tmp_path, """
 [oscillator]

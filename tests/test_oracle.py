@@ -20,6 +20,7 @@ from trapmotion import (
     make_constant_acceleration,
     make_grid,
     make_kick,
+    make_polynomial,
     make_sinusoidal,
     measure_transitions,
     moving_frame_coherent_state,
@@ -374,6 +375,50 @@ def test_phase_convention_does_not_change_probabilities(params):
 
     probs_rot = measure_transitions(GridState(grid, rotated, end.t), traj, params, 8)
     assert np.allclose(probs, probs_rot, atol=1e-14)
+
+
+def _direct_phase_propagate(state, traj, params, t_final, steps_per_period):
+    """Reference Strang loop: the potential phase exp(v (x - b)^2) is
+    evaluated directly over the whole grid at every step."""
+    grid = state.grid
+    n_steps = max(1, math.ceil((t_final - state.t) / (TWO_PI / params.omega / steps_per_period)))
+    dt = (t_final - state.t) / n_steps
+    kin_half = np.exp(-1j * params.hbar * grid.wavenumbers ** 2 * dt / (4.0 * params.mass))
+    v_coef = -1j * dt * params.mass * params.omega ** 2 / (2.0 * params.hbar)
+    x = grid.x
+    b_mid = traj.axes[0].b(state.t + (np.arange(n_steps) + 0.5) * dt)
+    psi = np.fft.ifft(kin_half * np.fft.fft(state.psi))
+    for j in range(n_steps):
+        psi = psi * np.exp(v_coef * (x - b_mid[j]) ** 2)
+        kin = kin_half if j == n_steps - 1 else kin_half * kin_half
+        psi = np.fft.ifft(kin * np.fft.fft(psi))
+    return psi
+
+
+@pytest.mark.parametrize("points", [256, 1024, 2048])  # square and 2:1 rows x cols splits
+@pytest.mark.parametrize("traj", [
+    make_kick(1.0, 0.01 * TWO_PI, TWO_PI),
+    make_sinusoidal(0.5, 0.9, TWO_PI),
+    make_constant_acceleration(1.0, TWO_PI),
+], ids=["kick", "sinusoid", "constant_accel"])
+def test_factored_potential_phase_matches_direct_exp(params, traj, points):
+    grid = make_grid(traj, params, points, alpha_extent=2.5, n_max=8)
+    start = fock_state(0, 0.0, 0.0, params, grid)
+    end = propagate(start, traj, params, TWO_PI, 500)
+    want = _direct_phase_propagate(start, traj, params, TWO_PI, 500)
+    assert np.max(np.abs(end.psi - want)) <= 1e-12
+
+
+def test_propagation_is_translation_invariant(params):
+    # the phase is factored about the grid midpoint, so a far-off grid loses
+    # nothing to cancellation between large terms
+    psis = []
+    for offset in (0.0, 1e4):
+        traj = make_polynomial([offset, 0.0, 0.5, -0.05], TWO_PI)
+        grid = Grid(offset - 20.0, offset + 20.0, 1024)
+        start = fock_state(0, offset, 0.0, params, grid)
+        psis.append(propagate(start, traj, params, TWO_PI, 1000).psi)
+    assert np.max(np.abs(psis[0] - psis[1])) <= 1e-12
 
 
 # --- snapshots -----------------------------------------------------------------------
