@@ -42,12 +42,12 @@ from .model import (
     make_sinusoidal,
 )
 from . import oracle as orc
-from .quadrature import SCHEMES, QuadratureConfig
+from .quadrature import QuadratureConfig
 
 DEMOS = ("constant_accel", "kick_g5", "sinusoid_resonance", "rotating_g20",
          "transport_3period")
 
-#: Every key a section accepts; ``[run] oracle`` has no effect, kept for old configs.
+#: Every key a section accepts; ``[run] oracle`` and ``quadrature_scheme`` do nothing.
 _SECTION_KEYS = {
     "oscillator": ("dimensionless", "mass", "omega", "hbar"),
     "trajectory": ("family", "a", "v", "T_a", "T", "stop_at", "R", "Omega", "s", "coeffs"),
@@ -305,7 +305,6 @@ def build_quadrature(scn: Scenario) -> QuadratureConfig:
         return QuadratureConfig(
             steps_per_period=run.integer("quadrature_steps_per_period",
                                          default=default.steps_per_period),
-            scheme=run.string("quadrature_scheme", default=default.scheme, choices=SCHEMES),
             tol=run.number("quadrature_tol", default=default.tol),
         )
     except ValueError as err:

@@ -76,9 +76,11 @@ def _check_time(t: float, duration: float | None) -> None:
         raise ValueError(f"time {t!r} exceeds trajectory duration {duration!r}")
 
 
-def _delta_prefactor(params: OscillatorParams) -> complex:
-    omega = params.omega
-    return -1j * params.mass * omega ** 2 / math.sqrt(2.0 * params.mass * params.hbar * omega)
+def _prefactors(params: OscillatorParams) -> dict[str, complex]:
+    """The factors that make amplitudes of the "u" and "delta" integrals."""
+    omega, mass = params.omega, params.mass
+    return {"u": -1j * math.sqrt(mass / (2.0 * params.hbar * omega)),
+            "delta": -1j * mass * omega ** 2 / math.sqrt(2.0 * mass * params.hbar * omega)}
 
 
 def excitation_amplitude(traj, params: OscillatorParams, t: float,
@@ -130,56 +132,52 @@ class ExcitationProfile:
     n_intervals: int
 
 
-def _integrate(ax: Axis, params: OscillatorParams, instants: np.ndarray,
-               cfg: QuadratureConfig, kernels: tuple[str, ...]):
+def _integrate(axes: tuple[Axis, ...], params: OscillatorParams, instants: np.ndarray,
+               cfg: QuadratureConfig, kernels: tuple[str, ...], level: int | None = None):
     """Converged running integrals of ``kernels`` at the sorted, unique
     ``instants``: a subsequence of ("u", "phi", "delta"), where "u" and
     "delta" are the integrals before their prefactors and "phi" needs "u".
 
     Only the evaluators the kernels need are sampled: b'' for u, b for
-    delta, both for phi. Returns ``(level, values, n_intervals)`` as
-    :func:`running_integrals` does.
+    delta, both for phi. ``axes`` share the first one's breakpoints and
+    feature time, so one grid serves them all. Returns ``(level, values,
+    n_intervals)`` as :func:`running_integrals` does (``level``, if given,
+    unrefined), with a row per kernel of each axis in turn.
     """
     omega = params.omega
     pref_sq = params.mass / (2.0 * params.hbar * omega)
     mass_over_hbar = params.mass / params.hbar
-    filon = cfg.scheme == "composite-filon"
     phase = "phi" in kernels
 
     def batch(grid, te, carried):
-        values, scales = {}, {}
-        if "u" in kernels:
-            acc = np.asarray(ax.bddot(te), dtype=float)
-        if phase or "delta" in kernels:
-            pos = np.asarray(ax.b(te), dtype=float)
         wt = omega * te
         c, s = np.cos(wt), np.sin(wt)
-        if "delta" in kernels:
-            values["delta"] = grid.integral(*((pos, omega, c, s) if filon else
-                                              (pos * (c + 1j * s),)))
-            scales["delta"] = grid.trapezoid(np.abs(pos))
-        if "u" in kernels:
-            if phase or not filon:
+        values, scales = [], []     # in kernel order: u, phi, delta
+        for i, ax in enumerate(axes):
+            if "u" in kernels:
+                acc = np.asarray(ax.bddot(te), dtype=float)
                 kernel = acc * (c - 1j * s)         # acc e^{-i omega t}
-            # Filon integrates acc against e^{-i omega t}; Simpson the sampled kernel
-            rule = (acc, -omega, c, s) if filon else (kernel,)
-            scales["u"] = grid.trapezoid(np.abs(acc))
+                if phase:
+                    cum = grid.cumulative(kernel, -omega)
+                values.append(cum[grid.ends] if phase else grid.integral(kernel, -omega))
+                scales.append(grid.trapezoid(np.abs(acc)))
+            if phase or "delta" in kernels:
+                pos = np.asarray(ax.b(te), dtype=float)
             if phase:
-                cum = grid.cumulative(*rule)
-                values["u"] = cum[grid.ends]
                 # Im[u' u*] = |pref|^2 Im[kernel * conj(running kernel integral)]
-                cum += carried[0]
+                cum += carried[i * len(kernels)]    # this axis's u
                 g = (pref_sq * (kernel.imag * cum.real - kernel.real * cum.imag)
                      + mass_over_hbar * pos * acc)
-                values["phi"] = grid.integral(g)
-                scales["phi"] = grid.trapezoid(np.abs(g))
-            else:
-                values["u"] = grid.integral(*rule)
-        return [values[k] for k in kernels], [scales[k] for k in kernels]
+                values.append(grid.integral(g))
+                scales.append(grid.trapezoid(np.abs(g)))
+            if "delta" in kernels:
+                values.append(grid.integral(pos * (c + 1j * s), omega))
+                scales.append(grid.trapezoid(np.abs(pos)))
+        return values, scales
 
-    return running_integrals(batch, len(kernels), instants, cfg, "excitation quadrature",
-                             omega=omega, feature_time=ax.feature_time,
-                             breakpoints=ax.breakpoints)
+    return running_integrals(batch, len(kernels) * len(axes), instants, cfg,
+                             "excitation quadrature", omega=omega, level=level,
+                             feature_time=axes[0].feature_time, breakpoints=axes[0].breakpoints)
 
 
 def _excite(traj, params: OscillatorParams, times, cfg: QuadratureConfig | None,
@@ -199,10 +197,9 @@ def _excite(traj, params: OscillatorParams, times, cfg: QuadratureConfig | None,
     where = np.searchsorted(instants, t_req)
     level, values, n_intervals = 0, np.zeros((len(kernels), len(instants))), 0
     if len(instants) and instants[-1] > 0.0:
-        level, values, n_intervals = _integrate(ax, params, instants, cfg or QuadratureConfig(),
-                                                kernels)
-    prefactors = {"u": -1j * math.sqrt(params.mass / (2.0 * params.hbar * params.omega)),
-                  "delta": _delta_prefactor(params)}
+        level, values, n_intervals = _integrate((ax,), params, instants,
+                                                cfg or QuadratureConfig(), kernels)
+    prefactors = _prefactors(params)
     got = {k: prefactors[k] * row[where] if k in prefactors else row.real[where]
            for k, row in zip(kernels, values)}
     if "u" in got:

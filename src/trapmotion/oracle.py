@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ResourceError, TruncationWarning
-from .excitation import _check_time, _delta_prefactor, _resolve_axis
+from .excitation import _check_time, _prefactors, _resolve_axis
 from .model import Axis, OscillatorParams, Trajectory
 from .quadrature import QuadratureConfig, running_integrals
 
@@ -186,7 +186,7 @@ def _delta_profile(ax, params: OscillatorParams, t: float, cfg: QuadratureConfig
     independent of the b'' path it checks.
     """
     omega = params.omega
-    pref = _delta_prefactor(params)
+    pref = _prefactors(params)["delta"]
     theta2_pref = params.mass * omega ** 2 / (2.0 * params.hbar)  # f = M omega^2 b
 
     def batch(grid, te, carried):

@@ -5,10 +5,9 @@ d tau read at a list of instants, runs through :func:`running_integrals`: the
 window is split at the breakpoints and instants (:func:`segments`), each
 refinement level is streamed in :class:`BlockGrid` batches (:func:`batches`),
 and :func:`refine` doubles the grid until every value has changed by at most
-``tol`` times its integrand's L1 size. Callers supply only the integrands.
-The oscillatory ones use refined composite Simpson on the sampled product
-("adaptive-simpson") or composite Filon, which integrates f's quadratic
-interpolant against the oscillation exactly ("composite-filon").
+``tol`` times its integrand's L1 size. Callers supply only the sampled
+integrands, all under one panel rule: Filon's, exact for f's quadratic
+interpolant times e^{i omega t}, which at omega = 0 is Simpson's rule.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-
-SCHEMES = ("adaptive-simpson", "composite-filon")
 
 #: Hard cap on the per-level grid size; refinement beyond this aborts rather
 #: than exhausting memory.
@@ -43,20 +40,16 @@ class QuadratureConfig:
     ``steps_per_period`` sets the base resolution per oscillation period (or
     per trajectory feature time, whichever is shorter); grids are then
     doubled by :func:`refine` until every value is stable to ``tol`` relative
-    to its integrand's L1 size. The composite Filon scheme is worthwhile once
-    omega * t is very large (~1e4 periods) and f varies slowly.
+    to its integrand's L1 size.
     """
 
     steps_per_period: int = 64
-    scheme: str = "adaptive-simpson"
     tol: float = 1e-8
     max_doublings: int = 14
 
     def __post_init__(self):
         if self.steps_per_period < 16:
             raise ValueError(f"steps_per_period must be >= 16, got {self.steps_per_period}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
         if self.max_doublings < 1:
@@ -87,27 +80,44 @@ def piece_bounds(a: float, b: float, breakpoints=()) -> list[tuple[float, float]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-@functools.lru_cache(maxsize=1024)
-def _quadratic_weights(theta: float, upper: float) -> tuple[complex, complex, complex]:
-    """Weights (w0, w1, w2) such that integral_0^upper P(u) e^{i theta u} du
-    = w0 P(0) + w1 P(1) + w2 P(2) for every quadratic P.
+def _filon_series(terms: int = 48) -> np.ndarray:
+    """``a[n, k, j]``: the theta^n coefficient of w_k(theta) e^{-i k theta},
+    where integral_0^U P(u) e^{i theta u} du = sum_k w_k(theta) P(k) for every
+    quadratic P, over a whole panel (j = 0, U = 2) or its first half (j = 1,
+    U = 1). At theta = 0 they are Simpson's."""
+    n = np.arange(terms)[:, None, None]
+    k = np.arange(3.0)
+    factorial = np.cumprod(np.maximum(n, 1.0), axis=0)
+    moments = np.array([[2.0], [1.0]]) ** (n + k + 1) / (factorial * (n + k + 1))
+    # integral_0^U u^q e^{i theta u} du times the Lagrange basis on nodes 0, 1, 2
+    w = moments @ np.array([[1.0, 0.0, 0.0], [-1.5, 2.0, -0.5], [0.5, -1.0, 0.5]])
+    rotate = (-k) ** n / factorial     # e^{-i k theta}
+    a = np.array([(w[:p + 1] * rotate[p::-1]).sum(axis=0) for p in range(terms)])
+    return (a * 1j ** n).transpose(0, 2, 1)
 
-    Built from the moments m_k = integral_0^upper u^k e^{i theta u} du, summed
-    as power series in i theta upper, so small theta loses nothing to
-    cancellation. At theta = 0 they are the Simpson weights.
-    """
-    z = 1j * theta * upper
-    if abs(z) > 4.0:
-        raise ValueError("quadratic Filon weights need |theta * upper| <= 4")
-    m = [0j, 0j, 0j]
-    term, n = 1.0 + 0.0j, 0
-    while abs(term) > 1e-18:
-        for k in range(3):
-            m[k] += term / (n + k + 1)
-        n += 1
-        term *= z / n
-    m0, m1, m2 = (mk * upper ** (k + 1) for k, mk in enumerate(m))
-    return (m2 - 3.0 * m1 + 2.0 * m0) / 2.0, 2.0 * m1 - m2, (m2 - m1) / 2.0
+
+_FILON_SERIES = _filon_series()
+
+
+@functools.lru_cache(maxsize=16)
+def _panel_weights(omega: float, steps: tuple) -> np.ndarray:
+    """``w[j, k]`` per step h of ``steps``: h w_k(omega h) e^{-i k omega h},
+    what node k of a panel carries for samples g = f e^{i omega t} (the
+    factor takes e^{i omega t} back to the panel start). The series is summed
+    to below 1e-18, so small steps lose nothing to cancellation."""
+    if omega < 0.0:     # the conjugates; both signs stay cached
+        w = _panel_weights(-omega, steps).conj()
+    else:
+        h = np.array(steps)
+        theta = omega * h
+        radius = float(np.abs(theta).max())
+        if radius > 2.0:
+            raise ValueError("quadratic Filon weights need |omega * step| <= 2")
+        n = next(n for n in range(1, 48) if (2.0 * radius) ** n / math.factorial(n) <= 1e-18)
+        w = _FILON_SERIES[:n + 1].T @ theta ** np.arange(n + 1.0)[:, None] * h
+        w = w.real if omega == 0.0 else w
+    w.flags.writeable = False
+    return w
 
 
 class BlockGrid:
@@ -115,16 +125,15 @@ class BlockGrid:
 
     Block b holds nodes ``j0..j1`` of ``np.linspace(lo, hi, m + 1)``, given as
     a row ``(lo, hi, m, j0, j1)`` with j0 < j1, both even, so its intervals
-    pair into Simpson panels. Adjacent blocks share no samples: a node where
-    one block ends and the next begins appears in both. Every rule returns
+    pair into panels. Adjacent blocks share no samples: a node where one
+    block ends and the next begins appears in both. Every rule returns
     running integrals from the first node, which carry on across blocks.
 
     The panel rule is Filon's: f is replaced by its quadratic interpolant on
-    the panel and the product with e^{i omega t} is integrated exactly. At
-    ``omega = 0`` that is Simpson's rule, and ``fvals`` may be complex;
-    otherwise ``fvals`` is real and ``cos_t`` and ``sin_t`` hold
-    cos(|omega| t) and sin(|omega| t) at the nodes. The node and weight
-    arrays are read-only, since one grid can serve many calls.
+    the panel and the product with e^{i omega t} is integrated exactly from
+    the samples of g = f e^{i omega t}. At ``omega = 0`` that is Simpson's
+    rule. The node and weight arrays are read-only, since one grid can serve
+    many calls.
     """
 
     def __init__(self, blocks):
@@ -174,47 +183,35 @@ class BlockGrid:
         """Running composite trapezoid integral at each block's last node."""
         return np.cumsum(np.add.reduceat(self._trapezoid * y, self.starts))
 
-    def integral(self, fvals: np.ndarray, omega: float = 0.0, cos_t=None,
-                 sin_t=None) -> np.ndarray:
-        """Running integral of f(t) e^{i omega t} at each block's last node."""
+    def integral(self, g: np.ndarray, omega: float = 0.0) -> np.ndarray:
+        """Running integral of f(t) e^{i omega t} at each block's last node,
+        from ``g`` = f e^{i omega t} at the nodes."""
         if omega == 0.0:
-            return np.cumsum(np.add.reduceat(self._simpson * fvals, self.starts))
-        (steps,) = self._panel_steps(fvals, omega, cos_t, sin_t, (2.0,))
-        return np.cumsum(steps)[self._panels[1]]
+            return np.cumsum(np.add.reduceat(self._simpson * g, self.starts))
+        # one block's panels share their weights: only its odd and even sums differ
+        w0, w1, w2 = _panel_weights(omega, tuple(self.dx.tolist()))[0]
+        panels, last, p0 = self._panels
+        odd = np.add.reduceat(g[p0 + 1], last + 1 - panels)
+        even = np.add.reduceat(g, self.starts) - odd
+        return np.cumsum(w1 * odd + (w0 + w2) * even - w2 * g[self.starts] - w0 * g[self.ends])
 
-    def cumulative(self, fvals: np.ndarray, omega: float = 0.0, cos_t=None,
-                   sin_t=None) -> np.ndarray:
-        """Running integral of f(t) e^{i omega t} at every node.
+    def cumulative(self, g: np.ndarray, omega: float = 0.0) -> np.ndarray:
+        """Running integral of f(t) e^{i omega t} at every node, from ``g``.
 
         Odd nodes add the integral of the same quadratic over the first half
         of their panel; at ``omega = 0`` that is the (5, 8, -1)/12 rule.
         """
-        p0 = self._panels[2]
-        whole, half = self._panel_steps(fvals, omega, cos_t, sin_t, (2.0, 1.0))
+        panels, _, p0 = self._panels
+        w = _panel_weights(omega, tuple(self.dx.tolist()))
+        if w.shape[-1] > 1:
+            w = np.repeat(w, panels, axis=-1)
+        whole, half = w[:, 0] * g[p0] + w[:, 1] * g[p0 + 1] + w[:, 2] * g[p0 + 2]
         run = np.concatenate(([0.0], np.cumsum(whole)))
-        out = np.empty(len(fvals), dtype=run.dtype)
+        out = np.empty(len(g), dtype=run.dtype)
         out[p0] = run[:-1]
         out[p0 + 1] = run[:-1] + half
         out[p0 + 2] = run[1:]
         return out
-
-    def _panel_steps(self, fvals, omega, cos_t, sin_t, uppers) -> list[np.ndarray]:
-        """Filon integrals over the first ``upper`` intervals of every panel,
-        one array for each of ``uppers``."""
-        panels, _, p0 = self._panels
-        f0, f1, f2 = fvals[p0], fvals[p0 + 1], fvals[p0 + 2]
-        if omega != 0.0:   # each panel's weights hold e^{i omega (t - x0)}; put e^{i omega x0} back
-            turn = cos_t[p0] + (1j if omega > 0.0 else -1j) * sin_t[p0]
-        steps = []
-        for upper in uppers:
-            w = np.array([_quadratic_weights(omega * h, upper) for h in self.dx]) * self.dx[:, None]
-            if omega == 0.0:
-                w = w.real
-            if len(w) > 1:
-                w = np.repeat(w, panels, axis=0)
-            step = w[:, 0] * f0 + w[:, 1] * f1 + w[:, 2] * f2
-            steps.append(step if omega == 0.0 else turn * step)
-        return steps
 
 
 @functools.lru_cache(maxsize=8)
@@ -310,7 +307,8 @@ def batches(layout, level: int):
 
 
 def running_integrals(batch, count: int, instants, cfg: QuadratureConfig, what: str, *,
-                      omega: float, feature_time: float | None = None, breakpoints=()):
+                      omega: float, feature_time: float | None = None, breakpoints=(),
+                      level: int | None = None):
     """Running integrals from t = 0, read at every instant and converged by :func:`refine`.
 
     ``instants`` is sorted and unique with a positive last entry. The grid
@@ -323,7 +321,7 @@ def running_integrals(batch, count: int, instants, cfg: QuadratureConfig, what: 
     running integrals at each block end, counted from the batch's first
     node, and the L1 size each one converges against. The result is
     ``(level, values, n_intervals)`` with ``values[q, k]``, complex, value q
-    at ``instants[k]``.
+    at ``instants[k]``. A given ``level`` is evaluated alone, unrefined.
     """
     cuts = set(p for p in breakpoints if 0.0 < p < instants[-1])
     layout = segments(instants, omega, feature_time, breakpoints, cfg.steps_per_period)
@@ -341,5 +339,6 @@ def running_integrals(batch, count: int, instants, cfg: QuadratureConfig, what: 
         return (readings[:count],), (readings[count:].real,)
 
     intervals = sum(m for _, _, m, _ in layout)
-    level, (values,), _, _ = refine(evaluate, cfg, what, intervals)
+    level, (values,), *_ = (refine(evaluate, cfg, what, intervals) if level is None
+                            else (level, *evaluate(level)))
     return level, values, intervals << level

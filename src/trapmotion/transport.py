@@ -12,7 +12,7 @@ parameters, so every candidate is exactly feasible. In both families b'' is
 linear in the free parameters, so u(T) is affine in them, and ``optimize``
 zeroes it with one linear least-squares solve (Re u and Im u give two real
 equations in n_free unknowns) instead of a search. That takes at most
-n_free + 2 quadratures.
+n_free + 2 quadratures, and the solve and its re-check share one grid.
 
 The implementation is deliberately scale-equivariant: doubling d and the
 seed doubles every trajectory and every measured column of the affine map
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .excitation import ExcitationResult, QuadratureConfig, excitation_amplitude
+from .excitation import QuadratureConfig, _integrate, _prefactors
 from .model import OscillatorParams, Trajectory, _piecewise_axis
 
 #: Residual gamma below which a solution counts as converged (mean phonon
@@ -189,13 +189,18 @@ class TransportSolution:
 def objective(problem: TransportProblem, free_params,
               cfg: QuadratureConfig | None = None) -> float:
     """Residual excitation gamma(T) of the constrained trajectory."""
-    return _excitation(problem, free_params, cfg).gamma
+    return float(_amplitudes(problem, [free_params], cfg)[2][0])
 
 
-def _excitation(problem: TransportProblem, free_params,
-                cfg: QuadratureConfig | None) -> ExcitationResult:
-    traj = problem.family.build(problem, free_params)
-    return excitation_amplitude(traj, problem.params, problem.duration, cfg, with_phase=False)
+def _amplitudes(problem: TransportProblem, trials, cfg: QuadratureConfig | None,
+                level: int | None = None):
+    """The refinement level, u(T) and gamma(T) at each free-parameter vector
+    of ``trials``, all on one grid (a given ``level`` is evaluated unrefined)."""
+    axes = tuple(problem.family.build(problem, x).axes[0] for x in trials)
+    level, values, _ = _integrate(axes, problem.params, np.array([problem.duration]),
+                                  cfg or QuadratureConfig(), ("u",), level)
+    u = _prefactors(problem.params)["u"] * values[:, 0]
+    return level, u, u.real ** 2 + u.imag ** 2
 
 
 def verify_boundaries(traj: Trajectory, problem: TransportProblem,
@@ -226,11 +231,11 @@ def optimize(problem: TransportProblem, seed_params=None, *,
 
     u(T) is affine in the free parameters, so one least-squares step finds
     the minimum: u is measured at the seed and at the seed moved by
-    ``param_scales[i]`` along each parameter i, and the minimum-norm step to
-    the least |u| is re-checked by quadrature. The better of seed and solution
-    is returned. That costs one quadrature when there is no freedom or the
-    seed is below ``threshold``, else n_free + 2. A residual above
-    ``threshold`` gives ``converged=False``, not an error.
+    ``param_scales[i]`` along each parameter i in one refinement, and the
+    minimum-norm step to the least |u| is re-checked on its grid. The better
+    of seed and solution is returned. That costs one quadrature when there
+    is no freedom or the seed is below ``threshold``, else n_free + 2. A
+    residual above ``threshold`` gives ``converged=False``, not an error.
     """
     family = problem.family
     if seed_params is None:
@@ -242,21 +247,20 @@ def optimize(problem: TransportProblem, seed_params=None, *,
         )
 
     best_x = seed
-    at_seed = _excitation(problem, seed, cfg)
-    residual = at_seed.gamma
+    residual = float(_amplitudes(problem, [seed], cfg)[2][0])
     evaluations = 1
     if family.n_free and residual >= threshold:
-        # column i: change of u(T) per param_scales[i] along free parameter i
         scales = family.param_scales(problem)
-        columns = [_excitation(problem, shifted, cfg).u - at_seed.u
-                   for shifted in seed + np.diag(scales)]
-        matrix = np.array([[c.real for c in columns], [c.imag for c in columns]])
-        rhs = np.array([-at_seed.u.real, -at_seed.u.imag])
+        level, u, _ = _amplitudes(problem, [seed, *(seed + np.diag(scales))], cfg)
+        # column i: change of u(T) per param_scales[i] along free parameter i
+        columns = u[1:] - u[0]
+        matrix = np.array([columns.real, columns.imag])
+        rhs = np.array([-u[0].real, -u[0].imag])
         solved = seed + scales * np.linalg.lstsq(matrix, rhs, rcond=None)[0]
-        at_solved = _excitation(problem, solved, cfg)
+        _, _, (gamma,) = _amplitudes(problem, [solved], cfg, level)
         evaluations += family.n_free + 1
-        if at_solved.gamma < residual:
-            best_x, residual = solved, at_solved.gamma
+        if gamma < residual:
+            best_x, residual = solved, float(gamma)
 
     trajectory = family.build(problem, best_x)
     verify_boundaries(trajectory, problem)

@@ -559,6 +559,34 @@ def test_transport_seed_is_accepted_and_ignored(capsys):
     assert seeded == plain
 
 
+def test_quadrature_scheme_is_accepted_and_ignored(tmp_path, capsys):
+    # one panel rule serves every excitation integral, so the key only keeps
+    # old configs working
+    base = """
+[oscillator]
+dimensionless = on
+
+[trajectory]
+family = kick
+v = 1.0
+T_a = 0.05
+T = 12.0
+stop_at = 5.0
+
+[run]
+times = 2.0, 7.5, 12.0
+"""
+    outs = []
+    for extra in ("", "quadrature_scheme = composite-filon\n",
+                  "quadrature_scheme = adaptive-simpson\n"):
+        code, out, _ = run_cli(capsys, "excite", "--config",
+                               write_config(tmp_path, base + extra))
+        assert code == 0
+        outs.append(out)
+    assert outs[1] == outs[0]
+    assert outs[2] == outs[0]
+
+
 def test_transport_zero_displacement(tmp_path, capsys):
     cfg = write_config(tmp_path, """
 [oscillator]

@@ -35,6 +35,7 @@ from trapmotion import (
     propagate,
     uniform_motion_gamma,
 )
+from trapmotion.quadrature import BlockGrid
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,8 +45,6 @@ TWO_PI = 2.0 * math.pi
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(steps_per_period=8)
-    with pytest.raises(ValueError):
-        QuadratureConfig(scheme="gauss")
     with pytest.raises(ValueError):
         QuadratureConfig(tol=0.0)
 
@@ -201,13 +200,26 @@ def test_non_convergence_raises_with_residual_estimate(params):
     assert info.value.residual is not None
 
 
+def _simpson(g, t):
+    """integral_0^t g by composite Simpson on the sampled g, doubling the
+    grid until two estimates agree to 1e-12: a reference independent of the
+    Filon weights."""
+    n, prev = 64, None
+    while True:
+        grid = BlockGrid([(0.0, t, n, 0, n)])
+        got = complex(grid.integral(g(grid.ts))[-1])
+        if prev is not None and abs(got - prev) <= 1e-12:
+            return got
+        n, prev = 2 * n, got
+
+
 def test_filon_scheme_agrees_with_simpson(params):
     traj = make_sinusoidal(1.0, 0.4, 40.0)
-    cfg_f = QuadratureConfig(scheme="composite-filon", tol=1e-9)
-    cfg_s = QuadratureConfig(tol=1e-9)
+    cfg = QuadratureConfig(tol=1e-9)
+    bddot = traj.axes[0].bddot
     for t in (9.7, 31.4):
-        uf = excitation_amplitude(traj, params, t, cfg_f, with_phase=False).u
-        us = excitation_amplitude(traj, params, t, cfg_s, with_phase=False).u
+        uf = excitation_amplitude(traj, params, t, cfg, with_phase=False).u
+        us = U_PREF * _simpson(lambda x: bddot(x) * np.exp(-1j * x), t)
         assert uf == pytest.approx(us, abs=1e-8)
 
 
@@ -256,22 +268,19 @@ def test_single_instant_integrals_validate_inputs(params):
         excitation_amplitude(ax, params, -1.0, with_phase=False)
     with pytest.raises(ValueError):
         fixed_frame_delta(ax, params, -1.0)
-    with pytest.raises(ValueError):
-        excitation_amplitude(ax, params, 1.0, QuadratureConfig(scheme="gauss"), with_phase=False)
 
 
 def test_single_instant_integrals_agree_across_schemes(params):
     f = lambda t: np.cos(0.3 * np.asarray(t)) * (1 + 0.1 * np.asarray(t))  # noqa: E731
     ax = _axis(b=f, bddot=f)
-    simpson, filon = (QuadratureConfig(scheme=s, tol=1e-10)
-                      for s in ("adaptive-simpson", "composite-filon"))
+    filon = QuadratureConfig(tol=1e-10)
     for t in (6.0, 20.0):
         scale = t * 2.0   # bounds the L1 size of f times the prefactor
-        u_s = excitation_amplitude(ax, params, t, simpson, with_phase=False).u
+        u_s = U_PREF * _simpson(lambda x: f(x) * np.exp(-1j * x), t)
         u_f = excitation_amplitude(ax, params, t, filon, with_phase=False).u
         assert abs(u_s - u_f) <= 1e-9 * scale
-        assert abs(fixed_frame_delta(ax, params, t, simpson)
-                   - fixed_frame_delta(ax, params, t, filon)) <= 1e-9 * scale
+        delta_s = DELTA_PREF * _simpson(lambda x: f(x) * np.exp(1j * x), t)
+        assert abs(delta_s - fixed_frame_delta(ax, params, t, filon)) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("which", ["u", "delta"])
@@ -303,11 +312,10 @@ def test_each_single_instant_call_samples_only_its_own_kernel(params):
     full = traj.axes[0]
     only_acc = _axis(bddot=full.bddot, breakpoints=full.breakpoints)
     only_pos = _axis(b=full.b, breakpoints=full.breakpoints)
-    for cfg in (QuadratureConfig(), QuadratureConfig(scheme="composite-filon")):
-        u = excitation_amplitude(only_acc, params, 9.0, cfg, with_phase=False).u
-        assert u == excitation_amplitude(traj, params, 9.0, cfg, with_phase=False).u
-        delta = fixed_frame_delta(only_pos, params, 9.0, cfg)
-        assert delta == fixed_frame_delta(traj, params, 9.0, cfg)
+    u = excitation_amplitude(only_acc, params, 9.0, with_phase=False).u
+    assert u == excitation_amplitude(traj, params, 9.0, with_phase=False).u
+    delta = fixed_frame_delta(only_pos, params, 9.0)
+    assert delta == fixed_frame_delta(traj, params, 9.0)
 
 
 # --- kick ------------------------------------------------------------------------

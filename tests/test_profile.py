@@ -27,20 +27,14 @@ from trapmotion import (
 from trapmotion.quadrature import initial_intervals
 
 TWO_PI = 2.0 * math.pi
-SCHEMES = ("adaptive-simpson", "composite-filon")
 # unsorted, with a duplicate and two zeros
 MIXED = (5.3, 0.0, 1.7, 7.9, 1.7, 3.2, 0.0)
 
 
-def _cfg(scheme):
-    return QuadratureConfig(scheme=scheme)
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_constant_acceleration_gamma_and_phase(params, scheme):
+def test_constant_acceleration_gamma_and_phase(params):
     a = 1.3
     traj = make_constant_acceleration(a, 8.0)
-    prof = excitation_profile(traj, params, MIXED, _cfg(scheme))
+    prof = excitation_profile(traj, params, MIXED, QuadratureConfig())
     for t, gamma, phi in zip(MIXED, prof.gamma, prof.phi):
         assert gamma == pytest.approx(closed_form_constant_accel(a, params, t), rel=1e-6, abs=1e-12)
         # hand-integrated phase, as in test_excitation
@@ -48,24 +42,22 @@ def test_constant_acceleration_gamma_and_phase(params, scheme):
         assert phi == pytest.approx(want, rel=1e-7, abs=1e-9)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_off_resonance_sinusoid(params, scheme):
+def test_off_resonance_sinusoid(params):
     R, Omega = 0.8, 0.55
     traj = make_sinusoidal(R, Omega, 40.0)
     times = (33.0, 0.0, 4.1, 19.6, 4.1, 38.5)
-    prof = excitation_profile(traj, params, times, _cfg(scheme))
+    prof = excitation_profile(traj, params, times, QuadratureConfig())
     scale = closed_form_kick_G(R * Omega, params)
     for t, gamma in zip(times, prof.gamma):
         want = closed_form_sinusoidal(R, Omega, params, t) if t else 0.0
         assert abs(gamma - want) <= 1e-6 * max(want, scale)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_kick_with_stop(params, scheme):
+def test_kick_with_stop(params):
     v, T_a, stop = 1.0, 0.01 * TWO_PI, 5.0
     traj = make_kick(v, T_a, 12.0, stop_at=stop)
     times = (10.0, 2.0, 0.0, 7.5, 2.0, 4.0)
-    prof = excitation_profile(traj, params, times, _cfg(scheme))
+    prof = excitation_profile(traj, params, times, QuadratureConfig())
     G = closed_form_kick_G(v, params)
     for t, gamma in zip(times, prof.gamma):
         if t == 0.0:
@@ -83,20 +75,18 @@ def _polynomial_u(A, B, t):
     return -1j / math.sqrt(2.0) * integral
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_polynomial_matches_exact_u(params, scheme):
+def test_polynomial_matches_exact_u(params):
     c2, c3 = 0.4, -0.03
     traj = make_polynomial([0.0, 0.0, c2, c3], 9.0)
-    prof = excitation_profile(traj, params, MIXED, _cfg(scheme))
+    prof = excitation_profile(traj, params, MIXED, QuadratureConfig())
     A, B = 2.0 * c2, 6.0 * c3
     for t, u in zip(MIXED, prof.u):
         l1 = abs(A) * t + abs(B) * t * t / 2.0
         assert abs(u - _polynomial_u(A, B, t)) <= 1e-7 * l1 + 1e-15
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_delta_agrees_with_fixed_frame_delta(params, scheme):
-    cfg = _cfg(scheme)
+def test_delta_agrees_with_fixed_frame_delta(params):
+    cfg = QuadratureConfig()
     traj = make_kick(1.0, 0.01 * TWO_PI, 12.0, stop_at=5.0)
     times = (11.0, 0.5, 5.0, 8.2)
     prof = excitation_profile(traj, params, times, cfg)
@@ -105,9 +95,8 @@ def test_delta_agrees_with_fixed_frame_delta(params, scheme):
         assert abs(delta - want) <= 1e-7 * abs(want)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_instants_on_kick_breakpoints(params, scheme):
-    cfg = _cfg(scheme)
+def test_instants_on_kick_breakpoints(params):
+    cfg = QuadratureConfig()
     T_a, stop = 0.01 * TWO_PI, 5.0
     traj = make_kick(1.0, T_a, 12.0, stop_at=stop)
     times = (stop + T_a, T_a, stop, 9.0)

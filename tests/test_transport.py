@@ -151,6 +151,27 @@ def test_optimize_solves_in_n_free_plus_two_quadratures(params):
     verify_boundaries(solution.trajectory, problem)
 
 
+_PERIODS = np.linspace(1.1, 6.0, 15)
+
+
+@pytest.mark.parametrize("family, periods", [
+    (PolynomialFamily(5), _PERIODS[1]),
+    (PolynomialFamily(5), _PERIODS[3]),
+    (PolynomialFamily(6), _PERIODS[3]),
+    (PolynomialFamily(7), _PERIODS[3]),
+    (PolynomialFamily(8), _PERIODS[0]),
+    (PiecewiseAccelerationFamily(8), _PERIODS[3]),
+], ids=["poly5-1.45", "poly5-2.15", "poly6-2.15", "poly7-2.15", "poly8-1.10", "piecewise8-2.15"])
+def test_exact_solve_sits_at_roundoff_whatever_the_levels(params, family, periods):
+    # the seed and its shifted trajectories are integrated in one refinement
+    # and the solution is re-checked on that grid, so the residual stays at
+    # roundoff even where each would converge on a different level alone
+    problem = TransportProblem(1.0, periods * TWO_PI, params, family)
+    solution = optimize(problem, threshold=0.0)
+    assert solution.residual <= 1e-20
+    assert solution.evaluations == family.n_free + 2
+
+
 def test_one_free_parameter_solve_is_the_global_minimum(params):
     # half a period, one free coefficient: |u0 + x a|^2 has a nonzero minimum
     problem = _poly_problem(params, d=1.0, periods=0.5, degree=4)
