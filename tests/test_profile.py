@@ -24,17 +24,29 @@ from trapmotion import (
     make_polynomial,
     make_sinusoidal,
 )
+from trapmotion.cli import Scenario, build_quadrature, parse_config
 from trapmotion.quadrature import initial_intervals
 
 TWO_PI = 2.0 * math.pi
+# the values old configs give [run] quadrature_scheme, which one panel rule
+# now serves alike
+SCHEMES = ("adaptive-simpson", "composite-filon")
 # unsorted, with a duplicate and two zeros
 MIXED = (5.3, 0.0, 1.7, 7.9, 1.7, 3.2, 0.0)
 
 
-def test_constant_acceleration_gamma_and_phase(params):
+def _cfg(scheme):
+    scn = Scenario(parse_config(f"[run]\nquadrature_scheme = {scheme}\n"))
+    cfg = build_quadrature(scn)
+    assert cfg == QuadratureConfig()
+    return cfg
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_constant_acceleration_gamma_and_phase(params, scheme):
     a = 1.3
     traj = make_constant_acceleration(a, 8.0)
-    prof = excitation_profile(traj, params, MIXED, QuadratureConfig())
+    prof = excitation_profile(traj, params, MIXED, _cfg(scheme))
     for t, gamma, phi in zip(MIXED, prof.gamma, prof.phi):
         assert gamma == pytest.approx(closed_form_constant_accel(a, params, t), rel=1e-6, abs=1e-12)
         # hand-integrated phase, as in test_excitation
@@ -42,22 +54,24 @@ def test_constant_acceleration_gamma_and_phase(params):
         assert phi == pytest.approx(want, rel=1e-7, abs=1e-9)
 
 
-def test_off_resonance_sinusoid(params):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_off_resonance_sinusoid(params, scheme):
     R, Omega = 0.8, 0.55
     traj = make_sinusoidal(R, Omega, 40.0)
     times = (33.0, 0.0, 4.1, 19.6, 4.1, 38.5)
-    prof = excitation_profile(traj, params, times, QuadratureConfig())
+    prof = excitation_profile(traj, params, times, _cfg(scheme))
     scale = closed_form_kick_G(R * Omega, params)
     for t, gamma in zip(times, prof.gamma):
         want = closed_form_sinusoidal(R, Omega, params, t) if t else 0.0
         assert abs(gamma - want) <= 1e-6 * max(want, scale)
 
 
-def test_kick_with_stop(params):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_kick_with_stop(params, scheme):
     v, T_a, stop = 1.0, 0.01 * TWO_PI, 5.0
     traj = make_kick(v, T_a, 12.0, stop_at=stop)
     times = (10.0, 2.0, 0.0, 7.5, 2.0, 4.0)
-    prof = excitation_profile(traj, params, times, QuadratureConfig())
+    prof = excitation_profile(traj, params, times, _cfg(scheme))
     G = closed_form_kick_G(v, params)
     for t, gamma in zip(times, prof.gamma):
         if t == 0.0:
@@ -75,18 +89,20 @@ def _polynomial_u(A, B, t):
     return -1j / math.sqrt(2.0) * integral
 
 
-def test_polynomial_matches_exact_u(params):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_polynomial_matches_exact_u(params, scheme):
     c2, c3 = 0.4, -0.03
     traj = make_polynomial([0.0, 0.0, c2, c3], 9.0)
-    prof = excitation_profile(traj, params, MIXED, QuadratureConfig())
+    prof = excitation_profile(traj, params, MIXED, _cfg(scheme))
     A, B = 2.0 * c2, 6.0 * c3
     for t, u in zip(MIXED, prof.u):
         l1 = abs(A) * t + abs(B) * t * t / 2.0
         assert abs(u - _polynomial_u(A, B, t)) <= 1e-7 * l1 + 1e-15
 
 
-def test_delta_agrees_with_fixed_frame_delta(params):
-    cfg = QuadratureConfig()
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_delta_agrees_with_fixed_frame_delta(params, scheme):
+    cfg = _cfg(scheme)
     traj = make_kick(1.0, 0.01 * TWO_PI, 12.0, stop_at=5.0)
     times = (11.0, 0.5, 5.0, 8.2)
     prof = excitation_profile(traj, params, times, cfg)
@@ -95,8 +111,9 @@ def test_delta_agrees_with_fixed_frame_delta(params):
         assert abs(delta - want) <= 1e-7 * abs(want)
 
 
-def test_instants_on_kick_breakpoints(params):
-    cfg = QuadratureConfig()
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_instants_on_kick_breakpoints(params, scheme):
+    cfg = _cfg(scheme)
     T_a, stop = 0.01 * TWO_PI, 5.0
     traj = make_kick(1.0, T_a, 12.0, stop_at=stop)
     times = (stop + T_a, T_a, stop, 9.0)
