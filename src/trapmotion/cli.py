@@ -20,6 +20,7 @@ error, 3 numerical error, 4 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.resources
 import math
 import sys
@@ -216,7 +217,7 @@ def build_params(scn: Scenario) -> OscillatorParams:
         raise ConfigError(f"[oscillator]: {err}") from err
 
 
-def _sinusoid_T(R, Omega, T, s):
+def _sinusoid_T(Omega, T, s):
     if (T is None) == (s is None):
         raise ConfigError("sinusoidal needs exactly one of T and s")
     return 2.0 * math.pi * s / Omega if T is None else T
@@ -225,7 +226,7 @@ def _sinusoid_T(R, Omega, T, s):
 def _sinusoid_gamma(params, R, Omega, T, s):
     if s is not None and abs(Omega - params.omega) < exc.RESONANCE_DETUNING * params.omega:
         return exc.closed_form_sinusoidal_resonance(R, params, s)
-    return exc.closed_form_sinusoidal(R, Omega, params, _sinusoid_T(R, Omega, T, s))
+    return exc.closed_form_sinusoidal(R, Omega, params, _sinusoid_T(Omega, T, s))
 
 
 #: family -> ([trajectory] keys it reads, how many of them it requires, its
@@ -238,7 +239,7 @@ _FAMILIES = {
              lambda p, v, T_a, T, stop_at: exc.closed_form_kick_G(v, p) if stop_at is None
              else exc.closed_form_kick_stop(v, p, stop_at)),
     "sinusoidal": (("R", "Omega", "T", "s"), 2,
-                   lambda R, Omega, T, s: make_sinusoidal(R, Omega, _sinusoid_T(R, Omega, T, s)),
+                   lambda R, Omega, T, s: make_sinusoidal(R, Omega, _sinusoid_T(Omega, T, s)),
                    "gamma", _sinusoid_gamma),
     "circular": (("R", "Omega", "T_a", "s"), 4, make_circular, "w_s",
                  lambda p, R, Omega, T_a, s: exc.closed_form_circular(R, Omega, p, s)),
@@ -381,6 +382,8 @@ def cmd_oracle(scn: Scenario, out) -> int:
     steps = run.integer("steps_per_period", default=2000, minimum=orc.MIN_STEPS_PER_PERIOD)
     points = run.integer("grid_points", default=4096)
     bound = run.number("oracle_bound", default=1e-3)
+    if not (math.isfinite(bound) and bound > 0.0):
+        run._fail("oracle_bound", "must be finite and > 0")
     snapshot = run.string("snapshot")
 
     prof = exc.excitation_profile(traj, params, times, cfg)
@@ -414,7 +417,10 @@ def cmd_oracle(scn: Scenario, out) -> int:
     print(f"# delta_sq_vs_gamma_max = {_fmt(delta_vs_gamma)}", file=out)
     print(f"# norm_drift = {_fmt(norm_drift)}", file=out)
     if snapshot:
-        orc.save_snapshot(state, snapshot)
+        try:
+            orc.save_snapshot(state, snapshot)
+        except OSError as err:
+            raise ConfigError(f"cannot write snapshot {snapshot!r}: {err}") from err
     if max_dev > bound:
         raise _OracleMismatch(f"max deviation {max_dev:.3e} exceeds bound {bound:.3e}")
     return 0
@@ -548,12 +554,12 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         scn = Scenario(parse_config(_load_config_text(args.config)))
-        sink = open(args.out, "w", encoding="ascii", newline="\n") if args.out else sys.stdout
         try:
-            code = _COMMANDS[args.command](scn, sink)
-        finally:
-            if args.out:
-                sink.close()
+            sink = open(args.out, "w", encoding="ascii", newline="\n") if args.out else None
+        except OSError as err:
+            raise ConfigError(f"cannot write {args.out!r}: {err}") from err
+        with sink or contextlib.nullcontext(sys.stdout) as out:
+            code = _COMMANDS[args.command](scn, out)
         scn.echo(sys.stderr)
         return code
     except ConfigError as err:

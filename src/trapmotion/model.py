@@ -10,13 +10,13 @@ Every built-in family keeps the acceleration continuous: sudden starts
 and stops are represented by short C2 quintic-smoothstep ramps, so downstream
 quadratures never see a distributional kick.
 
-Every built-in b(t) except the sinusoid is a piecewise polynomial, and the
-circle's phase is one too. Each of these is one private piece table: sorted
-piece edges and, per piece, b's coefficients (lowest power first) in the time
-since that piece starts. One Horner evaluator gives b, b' and b'' from the
-table and its exact coefficient derivatives, and the interior edges are the
-axis breakpoints. Exactly at an edge the right-hand piece applies, so b'' there
-is one-sided: the value of the piece that starts at that edge.
+Every built-in b(t) is one private piece table: sorted piece edges and, per
+piece, coefficients (lowest power first) in the time since that piece starts,
+plus, for the sinusoid and the circle, r cos or r sin of a phase table on the
+same edges. One Horner evaluator gives each table and its exact derivatives,
+and the interior edges are the axis breakpoints. Exactly at an edge the
+right-hand piece applies, so b'' there is one-sided: the value of the piece
+that starts at that edge.
 
 Evaluators accept a float or a numpy array and are pure functions of time;
 all types are immutable after construction and safe to share across threads.
@@ -57,9 +57,7 @@ class OscillatorParams:
         if self.units_mode not in (SI, DIMENSIONLESS):
             raise ValueError(f"unknown units_mode {self.units_mode!r}")
         for name in ("mass", "omega", "hbar"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            _require_positive(name, getattr(self, name))
         if self.units_mode == DIMENSIONLESS and not (
             self.mass == 1.0 and self.omega == 1.0 and self.hbar == 1.0
         ):
@@ -186,13 +184,36 @@ def _derivative(table: np.ndarray) -> np.ndarray:
     return table[1:] * np.arange(1.0, len(table))[:, None]
 
 
-def _piecewise_axis(starts, rows, T: float) -> Axis:
-    """An axis whose b is the piece table ``(starts, rows)``; the boundary
-    flags are read off the first row."""
+def _piecewise_axis(starts, rows, T: float, harmonic=None,
+                    feature_time: float | None = None) -> Axis:
+    """An axis whose b is the piece table ``(starts, rows)`` plus, if
+    ``harmonic = (r, phase_rows, odd)`` is given, r cos(psi), or r sin(psi)
+    if ``odd``, of the phase table psi = ``(starts, phase_rows)``. b' and b''
+    follow by the chain rule; psi'' is left out where the phase table has no
+    power above the first, so b and b'' then cost one cosine or sine per node.
+    The boundary flags are b(0) == 0 and b'(0) == 0, exactly."""
     (b, bdot, bddot), breakpoints = _piece_table(starts, rows, T)
-    first = rows[0]
-    return Axis(b=b, bdot=bdot, bddot=bddot, starts_at_zero=bool(first[0] == 0.0),
-                starts_at_rest=bool(first[1] == 0.0) if len(first) > 1 else True,
+    if harmonic is not None:
+        r, phase_rows, odd = harmonic
+        (phase, rate, curve), _ = _piece_table(starts, phase_rows, T)
+        curved = any(c != 0.0 for row in phase_rows for c in row[2:])
+        # d/dpsi of r f(psi) is s g(psi); d2/dpsi2 of it is -r f(psi)
+        f, g, s = (np.sin, np.cos, r) if odd else (np.cos, np.sin, -r)
+        poly, poly_rate, poly_accel = b, bdot, bddot
+
+        def b(t):
+            return poly(t) + r * f(phase(t))
+
+        def bdot(t):
+            return poly_rate(t) + s * rate(t) * g(phase(t))
+
+        def bddot(t):
+            psi = phase(t)
+            acc = poly_accel(t) - r * rate(t) ** 2 * f(psi)
+            return acc + s * curve(t) * g(psi) if curved else acc
+
+    return Axis(b=b, bdot=bdot, bddot=bddot, starts_at_zero=bool(b(0.0) == 0.0),
+                starts_at_rest=bool(bdot(0.0) == 0.0), feature_time=feature_time,
                 breakpoints=breakpoints)
 
 
@@ -255,14 +276,7 @@ def make_sinusoidal(R: float, Omega: float, T: float) -> Trajectory:
         raise ValueError(f"R must be finite and non-negative, got {R!r}")
     _require_positive("Omega", Omega)
     _require_positive("T", T)
-    axis = Axis(
-        b=lambda t: R * (1.0 - np.cos(Omega * np.asarray(t, dtype=float))),
-        bdot=lambda t: R * Omega * np.sin(Omega * np.asarray(t, dtype=float)),
-        bddot=lambda t: R * Omega ** 2 * np.cos(Omega * np.asarray(t, dtype=float)),
-        starts_at_zero=True,
-        starts_at_rest=True,
-        feature_time=2.0 * math.pi / Omega,
-    )
+    axis = _piecewise_axis([0.0], [(R,)], T, (-R, [(0.0, Omega)], False), 2.0 * math.pi / Omega)
     return Trajectory((axis,), T)
 
 
@@ -294,36 +308,12 @@ def make_circular(R: float, Omega: float, T_a: float, s: float) -> Trajectory:
             stacklevel=2,
         )
     T = t_rev + T_a
-    t_down = t_rev  # down-ramp occupies [T - T_a, T]
-
-    (phase, phase_rate, phase_accel), cuts = _piece_table(*_kick_rows(Omega, T_a, t_down), T)
-
-    def bx(t):
-        return R * (1.0 - np.cos(phase(t)))
-
-    def bx_dot(t):
-        return R * phase_rate(t) * np.sin(phase(t))
-
-    def bx_ddot(t):
-        p = phase(t)
-        return R * (phase_accel(t) * np.sin(p) + phase_rate(t) ** 2 * np.cos(p))
-
-    def by(t):
-        return R * np.sin(phase(t))
-
-    def by_dot(t):
-        return R * phase_rate(t) * np.cos(phase(t))
-
-    def by_ddot(t):
-        p = phase(t)
-        return R * (phase_accel(t) * np.cos(p) - phase_rate(t) ** 2 * np.sin(p))
-
-    drive_period = 2.0 * math.pi / Omega
-    axis_x = Axis(b=bx, bdot=bx_dot, bddot=bx_ddot, starts_at_zero=True,
-                  starts_at_rest=True, feature_time=drive_period, breakpoints=cuts)
-    axis_y = Axis(b=by, bdot=by_dot, bddot=by_ddot, starts_at_zero=True,
-                  starts_at_rest=True, feature_time=drive_period, breakpoints=cuts)
-    return Trajectory((axis_x, axis_y), T)
+    # x = R - R cos(phi), y = R sin(phi); the down-ramp occupies [T - T_a, T]
+    starts, phase_rows = _kick_rows(Omega, T_a, t_rev)
+    return Trajectory(tuple(
+        _piecewise_axis(starts, [(offset,)] * len(starts), T, (r, phase_rows, odd),
+                        2.0 * math.pi / Omega)
+        for offset, r, odd in ((R, -R, False), (0.0, R, True))), T)
 
 
 def make_polynomial(coeffs, T: float) -> Trajectory:

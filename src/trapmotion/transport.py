@@ -235,8 +235,11 @@ def optimize(problem: TransportProblem, seed_params=None, *,
     minimum-norm step to the least |u| is re-checked on its grid. The better
     of seed and solution is returned. That costs one quadrature when there
     is no freedom or the seed is below ``threshold``, else n_free + 2. A
-    residual above ``threshold`` gives ``converged=False``, not an error.
+    residual above ``threshold`` gives ``converged=False``, not an error; a
+    ``threshold`` that is not finite and >= 0 raises ``ValueError``.
     """
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     family = problem.family
     if seed_params is None:
         seed_params = family.seed(problem)

@@ -635,14 +635,33 @@ _NAN_TIMES = _RUN.replace("times = 3.141592653589793", "times = nan")
                   "duration_periods = 2\nsamples = -3\n"),
     ("transport", "[oscillator]\ndimensionless = on\n[transport]\ndisplacement = 1.0\n"
                   "duration_periods = 2\nbudget = 100\n"),
+    ("oracle", ORACLE_BASE.format(a=1.0, extra="oracle_bound = nan")),
+    ("oracle", ORACLE_BASE.format(a=1.0, extra="oracle_bound = inf")),
+    ("oracle", ORACLE_BASE.format(a=1.0, extra="oracle_bound = 0")),
+    ("transport", "[oscillator]\ndimensionless = on\n[transport]\ndisplacement = 1.0\n"
+                  "duration_periods = 3\ndegree = 6\nthreshold = nan\n"),
 ], ids=["excite-nan-time", "probs-nan-time", "oracle-nan-time", "probs-negative-level",
         "oracle-negative-level", "oracle-grid-points", "oracle-steps", "transport-samples",
-        "transport-budget"])
+        "transport-budget", "oracle-nan-bound", "oracle-inf-bound", "oracle-zero-bound",
+        "transport-nan-threshold"])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, text):
     code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, text))
     assert code == 2
     assert "config error" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("where", ["out", "snapshot"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, where):
+    missing = tmp_path / "missing" / "file"
+    extra = f"snapshot = {missing}" if where == "snapshot" else ""
+    argv = ["oracle", "--config", write_config(tmp_path, ORACLE_BASE.format(a=1.0, extra=extra))]
+    if where == "out":
+        argv += ["--out", str(missing)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("trapmotion: config error: cannot write ")
+    assert len(err.splitlines()) == 1
 
 
 def test_main_only_parses(capsys, monkeypatch):

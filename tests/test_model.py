@@ -187,6 +187,19 @@ def test_circular_matches_smoothstep_reference():
         assert float(ax.bddot(T)) == 0.0
 
 
+@pytest.mark.parametrize("R,Omega,periods", [(1.1, 1.7, 5), (0.13, 0.36, 1e4)])
+def test_sinusoid_matches_closed_form_reference(R, Omega, periods):
+    period = 2.0 * math.pi / Omega
+    T = periods * period
+    ax = make_sinusoidal(R, Omega, T).axes[0]
+    ts = np.concatenate((_dense_grid(T, [0.0, T]), np.linspace(T - period, T, 4001)))
+    want = (R * (1.0 - np.cos(Omega * ts)), R * Omega * np.sin(Omega * ts),
+            R * Omega ** 2 * np.cos(Omega * ts))
+    scales = (R, R * Omega, R * Omega ** 2)
+    for got, w, scale in zip((ax.b(ts), ax.bdot(ts), ax.bddot(ts)), want, scales):
+        assert np.max(np.abs(got - w)) <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(v=1.0, T_a=2.0, T=1.0),
     dict(v=1.0, T_a=0.5, T=10.0, stop_at=0.4),
@@ -309,6 +322,8 @@ def test_polynomial_constant_offset_flags():
     traj = make_polynomial([1.0], 1.0)
     assert traj.axes[0].starts_at_zero is False
     assert traj.axes[0].starts_at_rest is True
+    moving = make_polynomial([0.0, 2.0], 1.0).axes[0]
+    assert (moving.starts_at_zero, moving.starts_at_rest) == (True, False)
 
 
 def test_polynomial_smoothstep_displacement():
@@ -335,6 +350,8 @@ def _families():
         ("circular", make_circular(0.9, 0.8, 0.05, 1)),
         ("poly", make_polynomial([0.0, 0.0, 0.4, -0.05, 0.002], 9.0)),
         ("piecewise", _piecewise(5, 9.0, [0.02, -0.05, 0.03])[0]),
+        ("sinusoid_1e4", make_sinusoidal(1.1, 1.7, 1e4 * 2.0 * math.pi / 1.7)),
+        ("circular_20", make_circular(0.9, 0.8, 0.05, 20)),
     ]
 
 
@@ -348,7 +365,9 @@ def _piecewise(segments, T, free):
 def test_central_differences_reproduce_derivatives(name, traj):
     rng = np.random.default_rng(42)
     T = traj.duration
-    h = 1e-6 * T
+    # the step resolves at most 100 drive periods: over 1e4 periods 1e-6 T is
+    # 1/16 rad of phase, and the difference quotient's own error would be ~1e-3
+    h = 1e-6 * min(T, 100 * (traj.axes[0].feature_time or T))
     ts = rng.uniform(2 * h, T - 2 * h, size=100)
     # stay clear of acceleration kinks, where b'' has no two-sided derivative
     for ax in traj.axes:
@@ -373,6 +392,8 @@ def test_breakpoints_are_the_interior_piece_edges():
         (make_kick(0.8, 0.3, 9.0, stop_at=5.0), (0.3, 5.0, 5.3)),
         (make_kick(0.8, 0.3, 9.0, stop_at=8.7), (0.3, 8.7)),
         (make_circular(0.9, 0.8, 0.05, 1), (0.05, 2.0 * math.pi / 0.8)),
+        (make_circular(0.9, 0.8, 0.05, 20), (0.05, 40.0 * math.pi / 0.8)),
+        (make_sinusoidal(1.1, 1.7, 1e4 * 2.0 * math.pi / 1.7), ()),
         (_piecewise(5, 9.0, [0.02, -0.05, 0.03])[0], tuple(1.8 * np.arange(1, 5))),
         (make_constant_acceleration(0.7, 9.0), ()),
     ]

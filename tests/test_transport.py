@@ -206,6 +206,9 @@ def test_optimize_validates_budget_and_seed(params):
     problem = _poly_problem(params)
     with pytest.raises(ValueError):
         optimize(problem, seed_params=np.zeros(5))
+    for threshold in (math.nan, math.inf, -1e-12):
+        with pytest.raises(ValueError, match="threshold"):
+            optimize(problem, threshold=threshold)
 
 
 def test_quadratic_scaling_of_optimal_residual(params):
