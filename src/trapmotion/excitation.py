@@ -36,7 +36,7 @@ import numpy as np
 
 from .model import Axis, OscillatorParams, Trajectory
 from .quadrature import QuadratureConfig, running_integrals
-from .errors import ResonanceError
+from .errors import NumericalError, ResonanceError
 
 #: Relative detuning below which the sinusoidal/circular closed forms are
 #: treated as singular and the resonance expression must be used instead.
@@ -96,10 +96,8 @@ def excitation_amplitude(traj, params: OscillatorParams, t: float,
     """
     _, got, _, _ = _excite(traj, params, (t,), cfg,
                            ("u", "phi", "delta") if with_phase else ("u",), ("u",))
-    u = complex(got["u"][0])
-    if "phi" in got:
-        return ExcitationResult(u, float(got["gamma"][0]), float(got["phi"][0]), t)
-    return ExcitationResult(u, u.real ** 2 + u.imag ** 2, None, t)
+    phi = float(got["phi"][0]) if "phi" in got else None
+    return ExcitationResult(complex(got["u"][0]), float(got["gamma"][0]), phi, t)
 
 
 def fixed_frame_delta(traj, params: OscillatorParams, t: float,
@@ -185,7 +183,8 @@ def _excite(traj, params: OscillatorParams, times, cfg: QuadratureConfig | None,
     """Resolve ``traj``, check ``times`` and converge ``kernels`` at their
     unique instants (``phaseless`` where phi is undefined). Returns the
     times, each kernel's prefactored values in request order (phi real,
-    gamma beside u), the level and the interval count (both 0 if all t = 0)."""
+    gamma beside u), the level and the interval count (both 0 if all t = 0).
+    A value that is not finite raises NumericalError."""
     ax, duration = _resolve_axis(traj)
     t_req = np.array([float(t) for t in times], dtype=float)
     for t in t_req:
@@ -204,6 +203,10 @@ def _excite(traj, params: OscillatorParams, times, cfg: QuadratureConfig | None,
            for k, row in zip(kernels, values)}
     if "u" in got:
         got["gamma"] = got["u"].real ** 2 + got["u"].imag ** 2
+    for k, row in got.items():
+        bad = ~np.isfinite(row)
+        if bad.any():
+            raise NumericalError(f"excitation {k} is {row[bad][0]} at t = {t_req[bad][0]}")
     return t_req, got, level, n_intervals
 
 

@@ -58,6 +58,15 @@ class OscillatorParams:
             raise ValueError(f"unknown units_mode {self.units_mode!r}")
         for name in ("mass", "omega", "hbar"):
             _require_positive(name, getattr(self, name))
+        m, w, h = self.mass, self.omega, self.hbar
+        try:  # the period, the ground width and the amplitude prefactors
+            scales = (2.0 * math.pi / w, math.sqrt(h / (m * w)), m / (2.0 * h * w),
+                      m * w * w / math.sqrt(2.0 * m * h * w))
+        except ArithmeticError:
+            scales = (math.inf,)
+        if not all(0.0 < x < math.inf for x in scales):
+            raise ValueError(f"mass {m!r}, omega {w!r} and hbar {h!r} put the oscillator's "
+                             "scales outside the float range")
         if self.units_mode == DIMENSIONLESS and not (
             self.mass == 1.0 and self.omega == 1.0 and self.hbar == 1.0
         ):
@@ -166,11 +175,14 @@ def _piece_table(starts, rows, T: float):
 
     ``starts`` are the sorted piece edges, the first at 0; ``rows[i]`` holds
     b's coefficients on piece i, lowest power first, in the time since
-    ``starts[i]``.
+    ``starts[i]``. Coefficients that are not finite, or edges that do not
+    increase (a piece narrower than the float spacing), raise ValueError.
     """
     width = max(len(row) for row in rows)
     table = np.array([list(row) + [0.0] * (width - len(row)) for row in rows], dtype=float).T
     starts = np.asarray(starts, dtype=float)
+    if not (np.isfinite(table).all() and (np.diff(starts) > 0.0).all()):
+        raise ValueError("a piece table needs finite coefficients and increasing edges")
     rate = _derivative(table)
     evaluators = tuple(_piece_evaluator(starts, c) for c in (table, rate, _derivative(rate)))
     return evaluators, tuple(s for s in starts.tolist() if 0.0 < s < T)
@@ -191,10 +203,13 @@ def _piecewise_axis(starts, rows, T: float, harmonic=None,
     if ``odd``, of the phase table psi = ``(starts, phase_rows)``. b' and b''
     follow by the chain rule; psi'' is left out where the phase table has no
     power above the first, so b and b'' then cost one cosine or sine per node.
-    The boundary flags are b(0) == 0 and b'(0) == 0, exactly."""
+    The boundary flags are b(0) == 0 and b'(0) == 0, exactly. A row or
+    harmonic coefficient that is not finite raises ValueError."""
     (b, bdot, bddot), breakpoints = _piece_table(starts, rows, T)
     if harmonic is not None:
         r, phase_rows, odd = harmonic
+        if not math.isfinite(r):
+            raise ValueError(f"harmonic amplitude must be finite, got {r!r}")
         (phase, rate, curve), _ = _piece_table(starts, phase_rows, T)
         curved = any(c != 0.0 for row in phase_rows for c in row[2:])
         # d/dpsi of r f(psi) is s g(psi); d2/dpsi2 of it is -r f(psi)
@@ -222,15 +237,17 @@ def _kick_rows(v: float, T_a: float, stop: float | None):
     (quintic smoothstep sigma(u) = 10u^3 - 15u^4 + 6u^5) and, if ``stop`` is
     given, back to 0 over [stop, stop + T_a]. The rows are the closed-form
     integrals, so the position is exact and the rate is exactly 0 (and b
-    exactly v * stop) from stop + T_a on."""
+    exactly v * stop) from stop + T_a on. Where a power of T_a leaves the
+    float range, the ramp coefficients are inf, for _piece_table to refuse."""
     starts = [0.0, T_a]
-    rows = [(0.0, 0.0, 0.0, 0.0, 2.5 * v / T_a ** 3, -3.0 * v / T_a ** 4, v / T_a ** 5),
-            (v * T_a / 2.0, v)]
+    try:
+        ramp = (2.5 * v / T_a ** 3, -3.0 * v / T_a ** 4, v / T_a ** 5)
+    except (ZeroDivisionError, OverflowError):
+        ramp = (math.inf,) * 3
+    rows = [(0.0, 0.0, 0.0, 0.0, *ramp), (v * T_a / 2.0, v)]
     if stop is not None:
         starts += [stop, stop + T_a]
-        rows += [(v * (stop - T_a / 2.0), v, 0.0, 0.0,
-                  -2.5 * v / T_a ** 3, 3.0 * v / T_a ** 4, -v / T_a ** 5),
-                 (v * stop,)]
+        rows += [(v * (stop - T_a / 2.0), v, 0.0, 0.0, *(-c for c in ramp)), (v * stop,)]
     return starts, rows
 
 

@@ -364,6 +364,21 @@ def propagate(state: GridState, traj: Trajectory | Axis, params: OscillatorParam
     return end
 
 
+def _project(state: GridState, traj: Trajectory | Axis, params: OscillatorParams,
+             n_max: int) -> tuple[np.ndarray, str | None]:
+    """:func:`measure_transitions`' populations, and the message of its
+    TruncationWarning if they capture under 0.999 of the state (else None)."""
+    ax, _ = _resolve_axis(traj)
+    grid = state.grid
+    basis = _fock_basis(n_max, float(ax.b(state.t)), float(ax.bdot(state.t)), params, grid)
+    probs = np.abs(basis.conj() @ state.psi * grid.dx) ** 2
+    capture = float(np.sum(probs))
+    if capture < 0.999:
+        return probs, (f"projections onto n <= {n_max} capture only {capture:.6f} "
+                       "of the state; raise n_max or enlarge the grid")
+    return probs, None
+
+
 def measure_transitions(state: GridState, traj: Trajectory | Axis, params: OscillatorParams,
                         n_max: int) -> np.ndarray:
     """Populations |<n, moving frame | state>|^2 for n = 0..n_max.
@@ -372,18 +387,12 @@ def measure_transitions(state: GridState, traj: Trajectory | Axis, params: Oscil
     phase of the instantaneous center velocity; global phases cancel in the
     squared modulus. Level ``n_max`` must fit the grid around b(t), in
     position and in momentum (see the module docstring), or ResourceError.
+    Populations that capture under 0.999 of the state warn with a
+    TruncationWarning.
     """
-    ax, _ = _resolve_axis(traj)
-    grid = state.grid
-    basis = _fock_basis(n_max, float(ax.b(state.t)), float(ax.bdot(state.t)), params, grid)
-    probs = np.abs(basis.conj() @ state.psi * grid.dx) ** 2
-    if float(np.sum(probs)) < 0.999:
-        warnings.warn(
-            f"projections onto n <= {n_max} capture only {float(np.sum(probs)):.6f} "
-            "of the state; raise n_max or enlarge the grid",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    probs, truncation = _project(state, traj, params, n_max)
+    if truncation:
+        warnings.warn(truncation, TruncationWarning, stacklevel=2)
     return probs
 
 

@@ -230,7 +230,9 @@ def refine(evaluate, cfg: QuadratureConfig, what: str, intervals: int):
     intervals. The first level at which every value (every element, for
     arrays) changed by at most ``cfg.tol`` times its own scale is accepted;
     the result is ``(level, values, scales, change)`` with ``change`` the
-    largest last change. A level needing more than
+    largest last change. Values that are not finite at level 0 raise
+    :class:`NumericalError` at once, as no doubling can settle them. A level
+    needing more than
     :data:`MAX_TOTAL_INTERVALS` intervals is never evaluated, and no
     acceptance within ``cfg.max_doublings`` doublings raises
     :class:`NumericalError` with the largest last change as ``residual``.
@@ -243,6 +245,8 @@ def refine(evaluate, cfg: QuadratureConfig, what: str, intervals: int):
                 f"{MAX_TOTAL_INTERVALS} quadrature intervals"
             )
         values, scales = evaluate(level)
+        if prev is None and not all(np.isfinite(v).all() for v in values):
+            raise NumericalError(f"{what} is not finite on its first grid")
         if prev is not None:
             # ufuncs give numpy scalars or arrays, whose methods beat np.all and np.max
             changes = [np.abs(np.subtract(v, p)) for v, p in zip(values, prev)]

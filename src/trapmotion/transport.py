@@ -36,6 +36,25 @@ from .model import OscillatorParams, Trajectory, _piecewise_axis
 DEFAULT_THRESHOLD = 1e-8
 
 
+def _in_float_range(method):
+    """A family ``method(problem, ...)`` that raises ValueError, not an
+    ArithmeticError or a value that is not finite, where the problem's
+    duration and displacement leave the float range."""
+    def checked(self, problem, *args):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                out = method(self, problem, *args)
+            if np.isfinite(out).all():
+                return out
+        except ArithmeticError:  # ZeroDivisionError, OverflowError, FloatingPointError
+            pass
+        raise ValueError(f"{self} cannot carry displacement {problem.displacement!r} in "
+                         f"duration {problem.duration!r}: its {method.__name__} leaves "
+                         "the float range")
+    checked.__doc__ = method.__doc__
+    return checked
+
+
 @dataclass(frozen=True)
 class PolynomialFamily:
     """b(t) = sum_k c_k t^k of the given degree.
@@ -55,6 +74,7 @@ class PolynomialFamily:
     def n_free(self) -> int:
         return self.degree - 3
 
+    @_in_float_range
     def coefficients(self, problem: "TransportProblem", free_params) -> np.ndarray:
         free = np.asarray(free_params, dtype=float)
         if free.shape != (self.n_free,):
@@ -84,6 +104,7 @@ class PolynomialFamily:
 
         return make_polynomial(self.coefficients(problem, free_params), problem.duration)
 
+    @_in_float_range
     def seed(self, problem: "TransportProblem") -> np.ndarray:
         """Free parameters of the quintic smoothstep displacement (its
         (c_4, c_5) tail), truncated to the family size."""
@@ -94,6 +115,7 @@ class PolynomialFamily:
         out[: min(2, self.n_free)] = full[: min(2, self.n_free)]
         return out
 
+    @_in_float_range
     def param_scales(self, problem: "TransportProblem") -> np.ndarray:
         d_scale = abs(problem.displacement) or 1.0
         return np.array([d_scale / problem.duration ** j for j in range(4, self.degree + 1)])
@@ -118,6 +140,7 @@ class PiecewiseAccelerationFamily:
     def n_free(self) -> int:
         return self.segments - 2
 
+    @_in_float_range
     def accelerations(self, problem: "TransportProblem", free_params) -> np.ndarray:
         free = np.asarray(free_params, dtype=float)
         if free.shape != (self.n_free,):
@@ -150,12 +173,14 @@ class PiecewiseAccelerationFamily:
         axis = _piecewise_axis(dt * np.arange(n), rows, problem.duration)
         return Trajectory((axis,), problem.duration)
 
+    @_in_float_range
     def seed(self, problem: "TransportProblem") -> np.ndarray:
         d_scale = abs(problem.displacement) or 1.0
         amp = d_scale / problem.duration ** 2
         return amp * np.sin(math.pi * (np.arange(self.n_free) + 1) / (self.n_free + 1)) \
             if self.n_free else np.zeros(0)
 
+    @_in_float_range
     def param_scales(self, problem: "TransportProblem") -> np.ndarray:
         d_scale = abs(problem.displacement) or 1.0
         return np.full(self.n_free, d_scale / problem.duration ** 2)
@@ -175,6 +200,9 @@ class TransportProblem:
             raise ValueError(f"duration must be finite and positive, got {self.duration!r}")
         if not math.isfinite(self.displacement):
             raise ValueError(f"displacement must be finite, got {self.displacement!r}")
+        # ValueError where the family's seed or scales leave the float range
+        self.family.seed(self)
+        self.family.param_scales(self)
 
 
 @dataclass(frozen=True)
@@ -264,6 +292,8 @@ def optimize(problem: TransportProblem, seed_params=None, *,
         evaluations += family.n_free + 1
         if gamma < residual:
             best_x, residual = solved, float(gamma)
+    if not math.isfinite(residual):
+        raise NumericalError(f"residual excitation is {residual!r}", residual=residual)
 
     trajectory = family.build(problem, best_x)
     verify_boundaries(trajectory, problem)

@@ -318,6 +318,20 @@ def test_oracle_measures_levels_above_sixty(tmp_path, capsys):
     assert [int(r[1]) for r in data] == list(range(71))
 
 
+def test_oracle_reports_truncation_as_one_warning_line(tmp_path, capsys):
+    # levels 0 and 1 hold 3 e^-2 of the state at gamma = 2: one '# warning:'
+    # line per instant on stderr, as probs reports its tails, and no Python
+    # warning display (which this suite would turn into an error)
+    cfg = write_config(tmp_path, ORACLE_BASE.format(a=1.0, extra="").replace(
+        "max_level = 8", "max_level = 1"))
+    code, _, err = run_cli(capsys, "oracle", "--config", cfg)
+    assert code == 0
+    (line,) = [ln for ln in err.splitlines() if not ln.startswith("# [")]
+    assert line.startswith("# warning: t = 3.14159265359, projections onto n <= 1 capture "
+                           "only 0.406")
+    assert line.endswith(" of the state; raise n_max or enlarge the grid")
+
+
 DEMO_SHAPED_ORACLE = """
 [oscillator]
 dimensionless = on
@@ -756,3 +770,168 @@ def test_twelve_significant_digit_formatting(tmp_path, capsys):
     _, data = rows(out)
     # 4.7405923356: 11 significant digits printed for this value
     assert data[0][3] == f"{float(data[0][3]):.12g}"
+
+
+# --- fuzzed config values -------------------------------------------------------------
+
+#: one small config per command and family; every numeric key in each is fuzzed
+FUZZ_BASES = {
+    "excite-kick": ("excite", """
+[oscillator]
+mass = 1.0
+omega = 1.0
+hbar = 1.0
+[trajectory]
+family = kick
+v = 1.0
+T_a = 0.5
+T = 3.0
+stop_at = 1.5
+[run]
+times = 1.0, 2.5
+"""),
+    "probs-sinusoidal": ("probs", """
+[oscillator]
+dimensionless = on
+[trajectory]
+family = sinusoidal
+R = 0.3
+Omega = 0.7
+s = 2
+[run]
+return_instants = 1, 2
+max_level = 4
+tail_epsilon = 1e-6
+"""),
+    "probs-circular": ("probs", """
+[oscillator]
+dimensionless = on
+[trajectory]
+family = circular
+R = 0.5
+Omega = 0.45
+T_a = 0.2
+s = 1
+[run]
+max_level = 2
+"""),
+    "oracle": ("oracle", """
+[oscillator]
+mass = 1.0
+omega = 1.0
+hbar = 1.0
+[trajectory]
+family = constant_acceleration
+a = 0.5
+T = 3.0
+[run]
+times = 1.5, 3.0
+max_level = 4
+steps_per_period = 500
+grid_points = 1024
+oracle_bound = 1e-3
+"""),
+    "sweep-si": ("sweep", """
+[oscillator]
+mass = 1.0
+omega = 1.0
+hbar = 1.0
+[trajectory]
+family = kick
+v = 1.0
+T_a = 0.05
+T = 20.0
+[sweep]
+parameter = v
+values = 0.5, 1.0
+"""),
+    "sweep-sinusoidal": ("sweep", """
+[oscillator]
+dimensionless = on
+[trajectory]
+family = sinusoidal
+R = 0.1
+Omega = 0.5
+s = 3
+[sweep]
+parameter = R
+values = 0.1, 0.2
+"""),
+    "sweep-circular": ("sweep", """
+[oscillator]
+dimensionless = on
+[trajectory]
+family = circular
+R = 0.1
+Omega = 0.45
+T_a = 0.2
+s = 1
+[sweep]
+parameter = Omega
+values = 0.3, 0.45
+"""),
+    "sweep-polynomial": ("sweep", """
+[oscillator]
+dimensionless = on
+[trajectory]
+family = polynomial
+coeffs = 0, 0, 0.02
+T = 4.0
+[run]
+quadrature_steps_per_period = 16
+quadrature_tol = 1e-6
+[sweep]
+parameter = T
+values = 2.0, 4.0
+"""),
+    "transport-polynomial": ("transport", """
+[oscillator]
+dimensionless = on
+[transport]
+displacement = 1.0
+duration_periods = 1.5
+degree = 6
+threshold = 1e-8
+samples = 5
+"""),
+    "transport-piecewise": ("transport", """
+[oscillator]
+dimensionless = on
+[transport]
+family = piecewise
+displacement = 1.0
+duration = 9.0
+segments = 4
+samples = 5
+"""),
+}
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
+
+
+def _fuzz_keys():
+    for name, (command, base) in FUZZ_BASES.items():
+        for line in base.splitlines():
+            key, eq, value = line.partition(" = ")
+            if eq and value[0] in "0123456789":
+                yield pytest.param(command, base, key, id=f"{name}-{key}")
+
+
+@pytest.mark.parametrize("command, base, key", _fuzz_keys())
+def test_fuzzed_value_exits_cleanly_and_keeps_out_on_config_error(tmp_path, capsys,
+                                                                   command, base, key):
+    # every value exits 0, 2, 3 or 4 from main; exit 0 prints no nan or inf,
+    # and a config error leaves an earlier --out file as it was
+    out = tmp_path / "out.csv"
+    for value in FUZZ_VALUES:
+        text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line
+                         for line in base.splitlines())
+        out.write_text("earlier output\n", encoding="ascii")
+        code = main([command, "--config", write_config(tmp_path, text), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (value, err)
+        written = out.read_text(encoding="ascii")
+        if code == 0:
+            assert "nan" not in written and "inf" not in written, (value, written)
+        if code == 2:
+            assert written == "earlier output\n", (value, err)

@@ -200,6 +200,14 @@ def test_non_convergence_raises_with_residual_estimate(params):
     assert info.value.residual is not None
 
 
+@pytest.mark.parametrize("with_phase", [False, True])
+def test_values_beyond_the_float_range_are_numerical_errors(params, with_phase):
+    # |u|^2 overflows to inf here; it is refused, not returned (nor an OverflowError)
+    traj = make_sinusoidal(1e300, 0.7, 20.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+        excitation_amplitude(traj, params, 20.0, with_phase=with_phase)
+
+
 def _simpson(g, t):
     """integral_0^t g by composite Simpson on the sampled g, doubling the
     grid until two estimates agree to 1e-12: a reference independent of the

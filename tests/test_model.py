@@ -15,6 +15,7 @@ from trapmotion import (
     make_polynomial,
     make_sinusoidal,
 )
+from trapmotion.model import _piecewise_axis
 
 
 # --- oscillator parameters ---------------------------------------------------
@@ -36,6 +37,9 @@ def test_si_params_default_hbar():
     dict(mass=-1.0, omega=1.0, hbar=1.0),
     dict(mass=1.0, omega=0.0, hbar=1.0),
     dict(mass=1.0, omega=1.0, hbar=math.nan),
+    # each finite and positive, but a prefactor or the ground width leaves the float range
+    dict(mass=1e-300, omega=1.0, hbar=1e-300),
+    dict(mass=1.0, omega=1e300, hbar=1.0),
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
@@ -339,6 +343,29 @@ def test_polynomial_validation(coeffs):
         make_polynomial(coeffs, 1.0)
 
 
+@pytest.mark.parametrize("rows, harmonic", [
+    ([(0.0, 0.0, math.nan)], None),
+    ([(0.0, math.inf)], None),
+    ([(1.0,)], (math.inf, [(0.0, 1.0)], False)),
+    ([(1.0,)], (1.0, [(0.0, -math.inf)], True)),
+], ids=["nan-row", "inf-row", "inf-amplitude", "inf-phase-row"])
+def test_piece_tables_must_be_finite(rows, harmonic):
+    with pytest.raises(ValueError, match="finite"):
+        _piecewise_axis([0.0], rows, 1.0, harmonic)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_kick(1.0, 1e-300, 1.0),
+    lambda: make_kick(1.0, 1e-300, 1.0, stop_at=0.5),
+    lambda: make_kick(1.0, 1e300, 1e300),
+    lambda: make_circular(0.5, 0.45, 1e-300, 1),
+], ids=["kick-short-ramp", "kick-stop-short-ramp", "kick-long-ramp", "circular-short-ramp"])
+def test_ramps_beyond_the_float_range_are_value_errors(build):
+    # a power of T_a underflows to 0 or overflows: inf rows, refused by the table
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 # --- cross-family properties ------------------------------------------------------
 
 def _families():
@@ -366,9 +393,15 @@ def test_central_differences_reproduce_derivatives(name, traj):
     rng = np.random.default_rng(42)
     T = traj.duration
     # the step resolves at most 100 drive periods: over 1e4 periods 1e-6 T is
-    # 1/16 rad of phase, and the difference quotient's own error would be ~1e-3
-    h = 1e-6 * min(T, 100 * (traj.axes[0].feature_time or T))
+    # 1/16 rad of phase, and the difference quotient's own error would be ~1e-3;
+    # nor may it span more than 1e-4 of the shortest piece (the axes share edges)
+    edges = (0.0, *traj.axes[0].breakpoints, T)
+    h = 1e-6 * min(T, 100 * (traj.axes[0].feature_time or T),
+                   100 * min(hi - lo for lo, hi in zip(edges, edges[1:])))
     ts = rng.uniform(2 * h, T - 2 * h, size=100)
+    # and three instants inside each piece, however short
+    ts = np.concatenate([ts, *(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), size=3)
+                               for lo, hi in zip(edges, edges[1:]))])
     # stay clear of acceleration kinks, where b'' has no two-sided derivative
     for ax in traj.axes:
         for cut in ax.breakpoints + (0.0, T):

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from trapmotion import (
+    NumericalError,
     PiecewiseAccelerationFamily,
     PolynomialFamily,
     QuadratureConfig,
@@ -68,6 +70,28 @@ def test_problem_validation(params):
         TransportProblem(1.0, 0.0, params, PolynomialFamily(5))
     with pytest.raises(ValueError):
         TransportProblem(math.inf, 1.0, params, PolynomialFamily(5))
+
+
+@pytest.mark.parametrize("family", [PolynomialFamily(6), PiecewiseAccelerationFamily(4)],
+                         ids=["polynomial", "piecewise"])
+@pytest.mark.parametrize("duration", [1e-300, 1e300])
+def test_family_outside_the_float_range_is_a_value_error(params, family, duration):
+    # powers of the duration underflow to 0 or overflow; each method says so
+    # as a ValueError, and so does the problem, which asks for seed and scales
+    problem = SimpleNamespace(displacement=1.0, duration=duration)
+    free = np.ones(family.n_free)
+    exact = family.coefficients if isinstance(family, PolynomialFamily) else family.accelerations
+    for method, args in ((family.seed, ()), (family.param_scales, ()), (exact, (free,))):
+        with pytest.raises(ValueError, match="float range"):
+            method(problem, *args)
+    with pytest.raises(ValueError, match="float range"):
+        TransportProblem(1.0, duration, params, family)
+
+
+def test_optimize_refuses_a_residual_that_is_not_finite(params):
+    problem = _poly_problem(params, d=1e300)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="residual"):
+        optimize(problem)
 
 
 # --- objective ---------------------------------------------------------------------
