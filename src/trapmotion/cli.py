@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import importlib.resources
 import math
+import os
 import sys
 
 import numpy as np
@@ -67,8 +68,8 @@ def _sinusoid_gamma(params, R, Omega, T, s):
 
 
 #: family -> ([trajectory] keys it reads, how many of them it requires, its
-#: builder, and the label and closed form a sweep evaluates; no closed form
-#: means a quadrature to the end of the run)
+#: builder, and the label and closed form a sweep evaluates; without one a
+#: sweep takes gamma at the end of the run of each built trajectory)
 _FAMILIES = {
     "constant_acceleration": (("a", "T"), 2, make_constant_acceleration, "gamma",
                               lambda p, a, T: exc.closed_form_constant_accel(a, p, T)),
@@ -112,7 +113,7 @@ _KEYS = {
             "grid_points": ("pow2", 256, 4096),
             "quadrature_steps_per_period": ("integer", 16, QuadratureConfig.steps_per_period),
             "quadrature_scheme": ("ignored", None, None),
-            "quadrature_tol": ("positive", None, QuadratureConfig.tol),
+            "quadrature_tol": ("number", 1e-14, QuadratureConfig.tol),
             "oracle_bound": ("positive", None, 1e-3), "snapshot": ("text", None, None)},
     "sweep": {"parameter": ("choice", ("Omega", "omega", "R", "v", "a", "s", "T"), None),
               "values": _LIST},
@@ -311,11 +312,22 @@ def build_quadrature(scn: Scenario) -> QuadratureConfig:
                             tol=scn.get("run", "quadrature_tol"))
 
 
-def _open_sink(path: str, mode: str, what: str = ""):
+def _check_writable(path: str, what: str) -> None:
+    """ConfigError unless ``path`` is a writable file or could be made as one."""
+    if os.path.exists(path):
+        ok = os.path.isfile(path) and os.access(path, os.W_OK)
+    else:
+        folder = os.path.dirname(path) or "."
+        ok = os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
+    if not ok:
+        raise ConfigError(f"cannot write {what}{path!r}")
+
+
+def _open_sink(path: str):
     try:
-        return open(path, mode, encoding="ascii", newline="\n")
+        return open(path, "w", encoding="ascii", newline="\n")
     except OSError as err:
-        raise ConfigError(f"cannot write {what}{path!r}: {err}") from err
+        raise ConfigError(f"cannot write {path!r}: {err}") from err
 
 
 # --- commands ----------------------------------------------------------------
@@ -391,8 +403,8 @@ def cmd_oracle(scn: Scenario):
     points = scn.get("run", "grid_points")
     bound = scn.get("run", "oracle_bound")
     snapshot = scn.get("run", "snapshot")
-    if snapshot:  # appending nothing tests the path without touching an existing file
-        _open_sink(snapshot, "a", "snapshot ").close()
+    if snapshot:  # test the path without creating or touching the file
+        _check_writable(snapshot, "snapshot ")
 
     def work(out) -> None:
         prof = exc.excitation_profile(traj, params, times, cfg)
@@ -552,7 +564,7 @@ def main(argv=None) -> int:
     try:
         scn = Scenario(parse_config(_load_config_text(args.config)))
         work = _COMMANDS[args.command](scn)
-        sink = _open_sink(args.out, "w") if args.out else None
+        sink = _open_sink(args.out) if args.out else None
         # a result outside the float range fails a finite check (exit 3), not a numpy warning
         with np.errstate(all="ignore"), sink or contextlib.nullcontext(sys.stdout) as out:
             work(out)

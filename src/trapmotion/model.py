@@ -105,6 +105,13 @@ class Axis:
     smooth; quadratures split their grids there and sample each smooth piece
     one-sidedly, so evaluators never need two-sided limits. Exactly at a
     breakpoint the built-in evaluators return the right-hand piece's value.
+
+    ``pieces`` is the piece table b is built from, where it has a closed-form
+    Fourier transform: ``(starts, rows, harmonics)``, the sorted piece edges,
+    b's coefficients per piece (lowest power first, in the time since the
+    piece starts), and per piece ``(r, Omega, theta, odd)`` for the term
+    r cos(Omega tau + theta), or r sin if ``odd`` (``()`` without a harmonic).
+    Amplitudes of an axis with pieces come from them; without, by quadrature.
     """
 
     b: Evaluator
@@ -114,6 +121,7 @@ class Axis:
     starts_at_rest: bool
     feature_time: float | None = None
     breakpoints: tuple[float, ...] = ()
+    pieces: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -171,7 +179,8 @@ def _piece_evaluator(starts: np.ndarray, table: np.ndarray) -> Evaluator:
 
 
 def _piece_table(starts, rows, T: float):
-    """b, b' and b'' evaluators and the interior edges of a piece table.
+    """b, b' and b'' evaluators, the interior edges of a piece table and its
+    padded rows as tuples of floats.
 
     ``starts`` are the sorted piece edges, the first at 0; ``rows[i]`` holds
     b's coefficients on piece i, lowest power first, in the time since
@@ -185,7 +194,8 @@ def _piece_table(starts, rows, T: float):
         raise ValueError("a piece table needs finite coefficients and increasing edges")
     rate = _derivative(table)
     evaluators = tuple(_piece_evaluator(starts, c) for c in (table, rate, _derivative(rate)))
-    return evaluators, tuple(s for s in starts.tolist() if 0.0 < s < T)
+    return (evaluators, tuple(s for s in starts.tolist() if 0.0 < s < T),
+            tuple(map(tuple, table.T.tolist())))
 
 
 def _derivative(table: np.ndarray) -> np.ndarray:
@@ -203,15 +213,19 @@ def _piecewise_axis(starts, rows, T: float, harmonic=None,
     if ``odd``, of the phase table psi = ``(starts, phase_rows)``. b' and b''
     follow by the chain rule; psi'' is left out where the phase table has no
     power above the first, so b and b'' then cost one cosine or sine per node.
-    The boundary flags are b(0) == 0 and b'(0) == 0, exactly. A row or
-    harmonic coefficient that is not finite raises ValueError."""
-    (b, bdot, bddot), breakpoints = _piece_table(starts, rows, T)
+    Without such a power the axis carries its ``pieces``. The boundary flags
+    are b(0) == 0 and b'(0) == 0, exactly. A row or harmonic coefficient that
+    is not finite raises ValueError."""
+    (b, bdot, bddot), breakpoints, table = _piece_table(starts, rows, T)
+    harmonics, curved = (), False
     if harmonic is not None:
         r, phase_rows, odd = harmonic
         if not math.isfinite(r):
             raise ValueError(f"harmonic amplitude must be finite, got {r!r}")
-        (phase, rate, curve), _ = _piece_table(starts, phase_rows, T)
+        (phase, rate, curve), _, phases = _piece_table(starts, phase_rows, T)
         curved = any(c != 0.0 for row in phase_rows for c in row[2:])
+        harmonics = tuple((float(r), row[1] if len(row) > 1 else 0.0, row[0], bool(odd))
+                          for row in phases)
         # d/dpsi of r f(psi) is s g(psi); d2/dpsi2 of it is -r f(psi)
         f, g, s = (np.sin, np.cos, r) if odd else (np.cos, np.sin, -r)
         poly, poly_rate, poly_accel = b, bdot, bddot
@@ -227,9 +241,10 @@ def _piecewise_axis(starts, rows, T: float, harmonic=None,
             acc = poly_accel(t) - r * rate(t) ** 2 * f(psi)
             return acc + s * curve(t) * g(psi) if curved else acc
 
+    pieces = None if curved else (tuple(float(s) for s in starts), table, harmonics)
     return Axis(b=b, bdot=bdot, bddot=bddot, starts_at_zero=bool(b(0.0) == 0.0),
                 starts_at_rest=bool(bdot(0.0) == 0.0), feature_time=feature_time,
-                breakpoints=breakpoints)
+                breakpoints=breakpoints, pieces=pieces)
 
 
 def _kick_rows(v: float, T_a: float, stop: float | None):

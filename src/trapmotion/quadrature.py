@@ -1,7 +1,9 @@
 """The one quadrature engine: running Fourier-type integrals from t = 0.
 
-Every converged integral of the package, integral_0^t f(tau) [e^{i omega tau}]
-d tau read at a list of instants, runs through :func:`running_integrals`: the
+Every integral the package cannot take in closed form (axes without a piece
+table: ``make_axis`` wrappers and the circle; and the oracle's frame
+phases), integral_0^t f(tau) [e^{i omega tau}] d tau read at a list of
+instants, runs through :func:`running_integrals`: the
 window is split at the breakpoints and instants (:func:`segments`), each
 refinement level is streamed in :class:`BlockGrid` batches (:func:`batches`),
 and :func:`refine` doubles the grid until every value has changed by at most
@@ -132,8 +134,8 @@ class BlockGrid:
     The panel rule is Filon's: f is replaced by its quadratic interpolant on
     the panel and the product with e^{i omega t} is integrated exactly from
     the samples of g = f e^{i omega t}. At ``omega = 0`` that is Simpson's
-    rule. The node and weight arrays are read-only, since one grid can serve
-    many calls.
+    rule. The node and weight arrays are read-only, since the nodes are
+    handed to the integrands.
     """
 
     def __init__(self, blocks):
@@ -212,14 +214,6 @@ class BlockGrid:
         out[p0 + 1] = run[:-1] + half
         out[p0 + 2] = run[1:]
         return out
-
-
-@functools.lru_cache(maxsize=8)
-def _small_grid(blocks: tuple) -> BlockGrid:
-    """The grid of a level that fits in one batch. Short windows are the ones
-    integrated over and over (a transport solve makes n_free + 2 quadratures
-    of one window), so their grids are kept; long ones stream past."""
-    return BlockGrid(blocks)
 
 
 def refine(evaluate, cfg: QuadratureConfig, what: str, intervals: int):
@@ -311,8 +305,7 @@ def batches(layout, level: int):
 
 
 def running_integrals(batch, count: int, instants, cfg: QuadratureConfig, what: str, *,
-                      omega: float, feature_time: float | None = None, breakpoints=(),
-                      level: int | None = None):
+                      omega: float, feature_time: float | None = None, breakpoints=()):
     """Running integrals from t = 0, read at every instant and converged by :func:`refine`.
 
     ``instants`` is sorted and unique with a positive last entry. The grid
@@ -325,7 +318,7 @@ def running_integrals(batch, count: int, instants, cfg: QuadratureConfig, what: 
     running integrals at each block end, counted from the batch's first
     node, and the L1 size each one converges against. The result is
     ``(level, values, n_intervals)`` with ``values[q, k]``, complex, value q
-    at ``instants[k]``. A given ``level`` is evaluated alone, unrefined.
+    at ``instants[k]``.
     """
     cuts = set(p for p in breakpoints if 0.0 < p < instants[-1])
     layout = segments(instants, omega, feature_time, breakpoints, cfg.steps_per_period)
@@ -333,9 +326,8 @@ def running_integrals(batch, count: int, instants, cfg: QuadratureConfig, what: 
     def evaluate(level):
         readings = np.zeros((2 * count, len(instants)), complex)   # values, then scales
         carried = np.zeros(2 * count, complex)
-        grid_of = _small_grid if intervals << level <= BATCH_INTERVALS else BlockGrid
         for blocks, at, which in batches(layout, level):
-            grid = grid_of(tuple(blocks))
+            grid = BlockGrid(blocks)
             values, scales = batch(grid, grid.sample_times(cuts), carried)
             runs = np.array([*values, *scales])
             readings[:, which] = carried[:, None] + runs[:, at]
@@ -343,6 +335,5 @@ def running_integrals(batch, count: int, instants, cfg: QuadratureConfig, what: 
         return (readings[:count],), (readings[count:].real,)
 
     intervals = sum(m for _, _, m, _ in layout)
-    level, (values,), *_ = (refine(evaluate, cfg, what, intervals) if level is None
-                            else (level, *evaluate(level)))
+    level, (values,), *_ = refine(evaluate, cfg, what, intervals)
     return level, values, intervals << level

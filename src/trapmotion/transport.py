@@ -12,7 +12,8 @@ parameters, so every candidate is exactly feasible. In both families b'' is
 linear in the free parameters, so u(T) is affine in them, and ``optimize``
 zeroes it with one linear least-squares solve (Re u and Im u give two real
 equations in n_free unknowns) instead of a search. That takes at most
-n_free + 2 quadratures, and the solve and its re-check share one grid.
+n_free + 2 evaluations of u(T), each in closed form from the trajectory's
+piece table, and the seed and its n_free shifted columns share one call.
 
 The implementation is deliberately scale-equivariant: doubling d and the
 seed doubles every trajectory and every measured column of the affine map
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .excitation import QuadratureConfig, _integrate, _prefactors
+from .excitation import QuadratureConfig, _closed_form, _prefactors
 from .model import OscillatorParams, Trajectory, _piecewise_axis
 
 #: Residual gamma below which a solution counts as converged (mean phonon
@@ -216,19 +217,20 @@ class TransportSolution:
 
 def objective(problem: TransportProblem, free_params,
               cfg: QuadratureConfig | None = None) -> float:
-    """Residual excitation gamma(T) of the constrained trajectory."""
-    return float(_amplitudes(problem, [free_params], cfg)[2][0])
+    """Residual excitation gamma(T) of the constrained trajectory. ``cfg`` is
+    accepted for old callers; the families' u(T) needs no quadrature."""
+    return float(_amplitudes(problem, [free_params])[1][0])
 
 
-def _amplitudes(problem: TransportProblem, trials, cfg: QuadratureConfig | None,
-                level: int | None = None):
-    """The refinement level, u(T) and gamma(T) at each free-parameter vector
-    of ``trials``, all on one grid (a given ``level`` is evaluated unrefined)."""
-    axes = tuple(problem.family.build(problem, x).axes[0] for x in trials)
-    level, values, _ = _integrate(axes, problem.params, np.array([problem.duration]),
-                                  cfg or QuadratureConfig(), ("u",), level)
-    u = _prefactors(problem.params)["u"] * values[:, 0]
-    return level, u, u.real ** 2 + u.imag ** 2
+def _amplitudes(problem: TransportProblem, trials):
+    """u(T) and gamma(T) at each free-parameter vector of ``trials``, from
+    one closed-form call over their stacked piece tables (one family, so
+    the same edges)."""
+    tables = [problem.family.build(problem, x).axes[0].pieces for x in trials]
+    stacked = (tables[0][0], np.array([rows for _, rows, _ in tables]), ())
+    values = _closed_form(stacked, problem.params, np.array([problem.duration]), ("u",))
+    u = _prefactors(problem.params)["u"] * values[0, :, 0]
+    return u, u.real ** 2 + u.imag ** 2
 
 
 def verify_boundaries(traj: Trajectory, problem: TransportProblem,
@@ -259,12 +261,13 @@ def optimize(problem: TransportProblem, seed_params=None, *,
 
     u(T) is affine in the free parameters, so one least-squares step finds
     the minimum: u is measured at the seed and at the seed moved by
-    ``param_scales[i]`` along each parameter i in one refinement, and the
-    minimum-norm step to the least |u| is re-checked on its grid. The better
-    of seed and solution is returned. That costs one quadrature when there
-    is no freedom or the seed is below ``threshold``, else n_free + 2. A
-    residual above ``threshold`` gives ``converged=False``, not an error; a
-    ``threshold`` that is not finite and >= 0 raises ``ValueError``.
+    ``param_scales[i]`` along each parameter i in one call, and the
+    minimum-norm step to the least |u| is re-checked. The better of seed and
+    solution is returned. That costs one evaluation of u(T) when there is no
+    freedom or the seed is below ``threshold``, else n_free + 2. A residual
+    above ``threshold`` gives ``converged=False``, not an error; a
+    ``threshold`` that is not finite and >= 0 raises ``ValueError``. ``cfg``
+    is accepted for old callers and unused: u(T) comes in closed form.
     """
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
@@ -278,17 +281,17 @@ def optimize(problem: TransportProblem, seed_params=None, *,
         )
 
     best_x = seed
-    residual = float(_amplitudes(problem, [seed], cfg)[2][0])
+    residual = float(_amplitudes(problem, [seed])[1][0])
     evaluations = 1
     if family.n_free and residual >= threshold:
         scales = family.param_scales(problem)
-        level, u, _ = _amplitudes(problem, [seed, *(seed + np.diag(scales))], cfg)
+        u, _ = _amplitudes(problem, [seed, *(seed + np.diag(scales))])
         # column i: change of u(T) per param_scales[i] along free parameter i
         columns = u[1:] - u[0]
         matrix = np.array([columns.real, columns.imag])
         rhs = np.array([-u[0].real, -u[0].imag])
         solved = seed + scales * np.linalg.lstsq(matrix, rhs, rcond=None)[0]
-        _, _, (gamma,) = _amplitudes(problem, [solved], cfg, level)
+        _, (gamma,) = _amplitudes(problem, [solved])
         evaluations += family.n_free + 1
         if gamma < residual:
             best_x, residual = solved, float(gamma)

@@ -678,6 +678,43 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, where):
     assert len(err.splitlines()) == 1
 
 
+def test_config_error_creates_no_snapshot(tmp_path, capsys):
+    # the snapshot path is checked, not opened: a later config error leaves no file
+    snap = tmp_path / "new.snap"
+    cfg = write_config(tmp_path, ORACLE_BASE.format(a=1.0, extra=f"snapshot = {snap}"))
+    code, out, err = run_cli(capsys, "oracle", "--config", cfg,
+                             "--out", str(tmp_path / "missing" / "out.csv"))
+    assert code == 2
+    assert err.startswith("trapmotion: config error: cannot write ")
+    assert out == ""
+    assert not snap.exists()
+
+
+@pytest.mark.parametrize("tol, code", [("1e-300", 2), ("9.9e-15", 2), ("1e-14", 0)])
+def test_quadrature_tol_has_a_floor(tmp_path, capsys, tol, code):
+    # below the floor no refinement can settle: refused at load, before any doubling
+    cfg = write_config(tmp_path, f"""
+[oscillator]
+dimensionless = on
+
+[trajectory]
+family = circular
+R = 0.5
+Omega = 0.45
+T_a = 0.12566370614359172
+s = 1
+
+[run]
+max_level = 2
+quadrature_tol = {tol}
+""")
+    got, out, err = run_cli(capsys, "probs", "--config", cfg)
+    assert got == code
+    if code == 2:
+        assert "quadrature_tol" in err and "must be finite and >= 1e-14" in err
+        assert out == ""
+
+
 def test_main_only_parses(capsys, monkeypatch):
     # the parser is built once at import; main must not build another
     import trapmotion.cli as cli_mod

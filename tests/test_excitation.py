@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -129,8 +130,8 @@ def test_accepts_bare_axis(params):
 
 
 def test_u_depends_only_on_acceleration(params):
-    # adding alpha + beta*t to the path leaves u unchanged
-    base = make_sinusoidal(1.0, 1.4, 20.0).axes[0]
+    # adding alpha + beta*t to the path leaves u unchanged; both on quadrature
+    base = dataclasses.replace(make_sinusoidal(1.0, 1.4, 20.0).axes[0], pieces=None)
     shifted = Axis(
         b=lambda t: base.b(t) + 2.0 - 0.3 * np.asarray(t, dtype=float),
         bdot=lambda t: base.bdot(t) - 0.3,
@@ -316,8 +317,9 @@ def test_hidden_jump_needs_a_breakpoint(params, which):
 
 def test_each_single_instant_call_samples_only_its_own_kernel(params):
     # gamma-only u reads b'' alone and delta reads b alone: the other raises
-    traj = make_kick(1.0, 0.01 * TWO_PI, 12.0, stop_at=5.0)
-    full = traj.axes[0]
+    traj = dataclasses.replace(make_kick(1.0, 0.01 * TWO_PI, 12.0, stop_at=5.0).axes[0],
+                               pieces=None)
+    full = traj
     only_acc = _axis(bddot=full.bddot, breakpoints=full.breakpoints)
     only_pos = _axis(b=full.b, breakpoints=full.breakpoints)
     u = excitation_amplitude(only_acc, params, 9.0, with_phase=False).u

@@ -2,6 +2,7 @@
 single-instant functions."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -157,18 +158,24 @@ def test_single_instant_is_excitation_amplitude(params):
     assert (res.u, res.gamma, res.phi) == (prof.u[0], prof.gamma[0], prof.phi[0])
 
 
+def _quadrature_axis(traj):
+    """The trajectory's axis without its piece table, so on the quadrature path."""
+    return dataclasses.replace(traj.axes[0], pieces=None)
+
+
 def test_reports_level_and_intervals(params):
     t = 6.0
-    prof = excitation_profile(make_constant_acceleration(1.0, 8.0), params, [t])
+    prof = excitation_profile(_quadrature_axis(make_constant_acceleration(1.0, 8.0)), params, [t])
     assert prof.level >= 1
     assert prof.n_intervals == initial_intervals(t, 1.0, None, 64) << prof.level
-    idle = excitation_profile(make_constant_acceleration(1.0, 8.0), params, [0.0, 0.0])
+    idle = excitation_profile(_quadrature_axis(make_constant_acceleration(1.0, 8.0)), params,
+                              [0.0, 0.0])
     assert (idle.level, idle.n_intervals) == (0, 0)
     assert list(idle.gamma) == [0.0, 0.0] and list(idle.phi) == [0.0, 0.0]
 
 
 def test_chunked_batches_match_one_batch(params, monkeypatch):
-    traj = make_kick(1.0, 0.01 * TWO_PI, 40.0, stop_at=17.0)
+    traj = _quadrature_axis(make_kick(1.0, 0.01 * TWO_PI, 40.0, stop_at=17.0))
     times = (39.0, 17.0, 5.5, 22.25)
     whole = excitation_profile(traj, params, times)
     monkeypatch.setattr(quadrature, "BATCH_INTERVALS", 64)
@@ -198,7 +205,8 @@ def test_non_convergence_raises_with_residual(params):
 def test_interval_cap_raises(params, monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_TOTAL_INTERVALS", 1000)
     with pytest.raises(NumericalError, match="quadrature intervals"):
-        excitation_profile(make_sinusoidal(0.5, 0.7, 200.0), params, [150.0, 190.0])
+        excitation_profile(_quadrature_axis(make_sinusoidal(0.5, 0.7, 200.0)), params,
+                           [150.0, 190.0])
 
 
 def test_times_are_validated(params):

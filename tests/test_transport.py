@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -194,6 +195,25 @@ def test_exact_solve_sits_at_roundoff_whatever_the_levels(params, family, period
     solution = optimize(problem, threshold=0.0)
     assert solution.residual <= 1e-20
     assert solution.evaluations == family.n_free + 2
+
+
+@pytest.mark.parametrize("family", [PolynomialFamily(d) for d in (5, 6, 7, 8)]
+                         + [PiecewiseAccelerationFamily(s) for s in (4, 7, 10)],
+                         ids=lambda f: str(f))
+def test_solved_residual_holds_on_the_quadrature_path(params, family):
+    # u(T) of the solution, re-taken by Filon quadrature from b'' samples alone:
+    # within tol times the L1 size of its integrand, so gamma within its square
+    problem = TransportProblem(1.0, 2.15 * TWO_PI, params, family)
+    solution = optimize(problem, threshold=0.0)
+    ax = dataclasses.replace(solution.trajectory.axes[0], pieces=None)
+    tol = 1e-11
+    T = problem.duration
+    ts = np.linspace(0.0, T, 20001)
+    l1 = float(np.sum(np.abs(ax.bddot(ts))) * (ts[1] - ts[0]))
+    gamma = excitation_amplitude(ax, params, T, QuadratureConfig(tol=tol),
+                                 with_phase=False).gamma
+    assert solution.residual <= 1e-20
+    assert math.sqrt(gamma) <= tol * l1 / math.sqrt(2.0)
 
 
 def test_one_free_parameter_solve_is_the_global_minimum(params):
