@@ -26,12 +26,16 @@ from .errors import NumericalError
 #: than exhausting memory.
 MAX_TOTAL_INTERVALS = 1 << 25
 
+#: Grid doublings :func:`refine` tries before it gives up.
+MAX_DOUBLINGS = 14
+
 #: Intervals per vectorized batch of a refinement level. Long windows are
 #: streamed in batches of this size with running totals carried across, so
-#: memory stays flat however long the window. At this size a batch's arrays
-#: (32 kB real, 64 kB complex) are reused from batch to batch; four times
-#: larger ones took tens of thousands of fresh-page faults per 1e4-period
-#: profile, a quarter of its time.
+#: memory stays flat however long the window (now the circle's revolutions,
+#: e.g. ``demo:rotating_g20`` ``probs``: piece tables need no quadrature). At
+#: this size a batch's arrays (32 kB real, 64 kB complex) are reused from batch
+#: to batch; four times larger ones took tens of thousands of fresh-page
+#: faults per long window, a quarter of its time.
 BATCH_INTERVALS = 1 << 12
 
 
@@ -47,15 +51,12 @@ class QuadratureConfig:
 
     steps_per_period: int = 64
     tol: float = 1e-8
-    max_doublings: int = 14
 
     def __post_init__(self):
         if self.steps_per_period < 16:
             raise ValueError(f"steps_per_period must be >= 16, got {self.steps_per_period}")
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be >= 1")
 
 
 def initial_intervals(span: float, omega: float, feature_time: float | None,
@@ -226,13 +227,12 @@ def refine(evaluate, cfg: QuadratureConfig, what: str, intervals: int):
     the result is ``(level, values, scales, change)`` with ``change`` the
     largest last change. Values that are not finite at level 0 raise
     :class:`NumericalError` at once, as no doubling can settle them. A level
-    needing more than
-    :data:`MAX_TOTAL_INTERVALS` intervals is never evaluated, and no
-    acceptance within ``cfg.max_doublings`` doublings raises
+    needing more than :data:`MAX_TOTAL_INTERVALS` intervals is never
+    evaluated, and no acceptance within :data:`MAX_DOUBLINGS` doublings raises
     :class:`NumericalError` with the largest last change as ``residual``.
     """
     prev = changes = None
-    for level in range(cfg.max_doublings + 1):
+    for level in range(MAX_DOUBLINGS + 1):
         if intervals << level > MAX_TOTAL_INTERVALS:
             raise NumericalError(
                 f"refinement level {level} would need more than "
@@ -249,7 +249,7 @@ def refine(evaluate, cfg: QuadratureConfig, what: str, intervals: int):
         prev = values
     residual = max(float(d.max()) for d in changes)
     raise NumericalError(
-        f"{what} did not stabilize after {cfg.max_doublings} grid doublings "
+        f"{what} did not stabilize after {MAX_DOUBLINGS} grid doublings "
         f"(last change {residual:.3e})",
         residual=residual,
     )

@@ -12,8 +12,9 @@ parameters, so every candidate is exactly feasible. In both families b'' is
 linear in the free parameters, so u(T) is affine in them, and ``optimize``
 zeroes it with one linear least-squares solve (Re u and Im u give two real
 equations in n_free unknowns) instead of a search. That takes at most
-n_free + 2 evaluations of u(T), each in closed form from the trajectory's
-piece table, and the seed and its n_free shifted columns share one call.
+n_free + 2 evaluations of u(T), each in closed form from the family's
+coefficient rows, and the seed and its n_free shifted columns share one
+call. Only the answer is built into a trajectory.
 
 The implementation is deliberately scale-equivariant: doubling d and the
 seed doubles every trajectory and every measured column of the affine map
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .excitation import QuadratureConfig, _closed_form, _prefactors
+from .excitation import _closed_form, _prefactors
 from .model import OscillatorParams, Trajectory, _piecewise_axis
 
 #: Residual gamma below which a solution counts as converged (mean phonon
@@ -56,8 +57,29 @@ def _in_float_range(method):
     return checked
 
 
+def _edges(duration: float, pieces: int) -> np.ndarray:
+    """Edges of ``pieces`` equal-width pieces of [0, duration]."""
+    return duration / pieces * np.arange(pieces)
+
+
+class _Family:
+    """b is the piece table ``rows(problem, free_params)`` on equal-width pieces of [0, T]."""
+
+    def _free(self, free_params) -> np.ndarray:
+        free = np.asarray(free_params, dtype=float)
+        if free.shape != (self.n_free,):
+            raise ValueError(f"{self} expects {self.n_free} free parameters, got {free.shape}")
+        if not np.all(np.isfinite(free)):
+            raise ValueError("free parameters must be finite")
+        return free
+
+    def build(self, problem: "TransportProblem", free_params) -> Trajectory:
+        rows, T = self.rows(problem, free_params), problem.duration
+        return Trajectory((_piecewise_axis(_edges(T, len(rows)), rows, T),), T)
+
+
 @dataclass(frozen=True)
-class PolynomialFamily:
+class PolynomialFamily(_Family):
     """b(t) = sum_k c_k t^k of the given degree.
 
     The boundary conditions force c_0 = c_1 = 0 and determine (c_2, c_3)
@@ -77,14 +99,7 @@ class PolynomialFamily:
 
     @_in_float_range
     def coefficients(self, problem: "TransportProblem", free_params) -> np.ndarray:
-        free = np.asarray(free_params, dtype=float)
-        if free.shape != (self.n_free,):
-            raise ValueError(
-                f"degree-{self.degree} family expects {self.n_free} free "
-                f"parameters, got shape {free.shape}"
-            )
-        if free.size and not np.all(np.isfinite(free)):
-            raise ValueError("free parameters must be finite")
+        free = self._free(free_params)
         T = problem.duration
         d = problem.displacement
         # position and velocity carried by the free tail c_4..c_k at t = T
@@ -100,10 +115,9 @@ class PolynomialFamily:
         c2 = (rhs_pos - c3 * T ** 3) / (T * T)
         return np.concatenate(([0.0, 0.0, c2, c3], free))
 
-    def build(self, problem: "TransportProblem", free_params) -> Trajectory:
-        from .model import make_polynomial
-
-        return make_polynomial(self.coefficients(problem, free_params), problem.duration)
+    def rows(self, problem: "TransportProblem", free_params) -> np.ndarray:
+        """b's one row: its coefficients."""
+        return self.coefficients(problem, free_params)[None]
 
     @_in_float_range
     def seed(self, problem: "TransportProblem") -> np.ndarray:
@@ -123,7 +137,7 @@ class PolynomialFamily:
 
 
 @dataclass(frozen=True)
-class PiecewiseAccelerationFamily:
+class PiecewiseAccelerationFamily(_Family):
     """b'' piecewise constant on equal-length segments of [0, T].
 
     The velocity and position conditions at T eliminate the last two segment
@@ -143,14 +157,7 @@ class PiecewiseAccelerationFamily:
 
     @_in_float_range
     def accelerations(self, problem: "TransportProblem", free_params) -> np.ndarray:
-        free = np.asarray(free_params, dtype=float)
-        if free.shape != (self.n_free,):
-            raise ValueError(
-                f"{self.segments}-segment family expects {self.n_free} free "
-                f"parameters, got shape {free.shape}"
-            )
-        if free.size and not np.all(np.isfinite(free)):
-            raise ValueError("free parameters must be finite")
+        free = self._free(free_params)
         n = self.segments
         dt = problem.duration / n
         # velocity:  sum_i a_i = 0  (common factor dt dropped)
@@ -164,15 +171,14 @@ class PiecewiseAccelerationFamily:
         a_last = s_vel - a_penult
         return np.concatenate((free, [a_penult, a_last]))
 
-    def build(self, problem: "TransportProblem", free_params) -> Trajectory:
+    @_in_float_range
+    def rows(self, problem: "TransportProblem", free_params) -> np.ndarray:
+        """b's row per segment: position, velocity and half the acceleration at its start."""
         accel = self.accelerations(problem, free_params)
-        n = self.segments
-        dt = problem.duration / n
+        dt = problem.duration / self.segments
         v_start = np.concatenate(([0.0], np.cumsum(accel * dt)))
         b_start = np.concatenate(([0.0], np.cumsum(v_start[:-1] * dt + 0.5 * accel * dt ** 2)))
-        rows = list(zip(b_start[:-1], v_start[:-1], 0.5 * accel))
-        axis = _piecewise_axis(dt * np.arange(n), rows, problem.duration)
-        return Trajectory((axis,), problem.duration)
+        return np.column_stack((b_start[:-1], v_start[:-1], 0.5 * accel))
 
     @_in_float_range
     def seed(self, problem: "TransportProblem") -> np.ndarray:
@@ -215,27 +221,24 @@ class TransportSolution:
     free_params: np.ndarray
 
 
-def objective(problem: TransportProblem, free_params,
-              cfg: QuadratureConfig | None = None) -> float:
-    """Residual excitation gamma(T) of the constrained trajectory. ``cfg`` is
-    accepted for old callers; the families' u(T) needs no quadrature."""
+def objective(problem: TransportProblem, free_params) -> float:
+    """Residual excitation gamma(T) of the constrained trajectory."""
     return float(_amplitudes(problem, [free_params])[1][0])
 
 
 def _amplitudes(problem: TransportProblem, trials):
     """u(T) and gamma(T) at each free-parameter vector of ``trials``, from
-    one closed-form call over their stacked piece tables (one family, so
+    one closed-form call over their stacked coefficient rows (one family, so
     the same edges)."""
-    tables = [problem.family.build(problem, x).axes[0].pieces for x in trials]
-    stacked = (tables[0][0], np.array([rows for _, rows, _ in tables]), ())
-    values = _closed_form(stacked, problem.params, np.array([problem.duration]), ("u",))
+    rows, T = np.array([problem.family.rows(problem, x) for x in trials]), problem.duration
+    values = _closed_form((_edges(T, rows.shape[1]), rows, ()), problem.params,
+                          np.array([T]), ("u",))
     u = _prefactors(problem.params)["u"] * values[0, :, 0]
     return u, u.real ** 2 + u.imag ** 2
 
 
-def verify_boundaries(traj: Trajectory, problem: TransportProblem,
-                      rtol: float = 1e-9) -> None:
-    """Independently re-check the four boundary conditions."""
+def verify_boundaries(traj: Trajectory, problem: TransportProblem) -> None:
+    """Independently re-check the four boundary conditions, to 1e-9 of d and of d / T."""
     ax = traj.axes[0]
     d = problem.displacement
     T = problem.duration
@@ -248,14 +251,13 @@ def verify_boundaries(traj: Trajectory, problem: TransportProblem,
         ("b'(T)", float(ax.bdot(T)), 0.0, vel_scale),
     )
     for name, got, want, scale in checks:
-        if abs(got - want) > rtol * scale:
+        if abs(got - want) > 1e-9 * scale:
             raise NumericalError(
                 f"boundary condition {name} violated: got {got!r}, want {want!r}"
             )
 
 
 def optimize(problem: TransportProblem, seed_params=None, *,
-             cfg: QuadratureConfig | None = None,
              threshold: float = DEFAULT_THRESHOLD) -> TransportSolution:
     """Minimize the residual excitation over the family's free parameters.
 
@@ -266,8 +268,7 @@ def optimize(problem: TransportProblem, seed_params=None, *,
     solution is returned. That costs one evaluation of u(T) when there is no
     freedom or the seed is below ``threshold``, else n_free + 2. A residual
     above ``threshold`` gives ``converged=False``, not an error; a
-    ``threshold`` that is not finite and >= 0 raises ``ValueError``. ``cfg``
-    is accepted for old callers and unused: u(T) comes in closed form.
+    ``threshold`` that is not finite and >= 0 raises ``ValueError``.
     """
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
@@ -280,8 +281,7 @@ def optimize(problem: TransportProblem, seed_params=None, *,
             f"seed has shape {seed.shape}, family expects ({family.n_free},)"
         )
 
-    best_x = seed
-    residual = float(_amplitudes(problem, [seed])[1][0])
+    best_x, residual = seed, float(_amplitudes(problem, [seed])[1][0])
     evaluations = 1
     if family.n_free and residual >= threshold:
         scales = family.param_scales(problem)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -726,6 +730,20 @@ def test_main_only_parses(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "excite", "--config", "demo:constant_accel")
     assert code == 0
     assert out.startswith("t,re_u,im_u,gamma,phi,delta_sq")
+
+
+def test_cli_start_up_loads_no_test_dependency():
+    # scipy, mpmath, hypothesis and pytest serve the tests only; any of them
+    # at start-up would add its import time to every command
+    import trapmotion
+
+    src = str(Path(trapmotion.__file__).resolve().parent.parent)
+    probe = ("import sys, trapmotion.cli; "
+             "print(sorted({m.split('.')[0] for m in sys.modules} "
+             "& {'scipy', 'mpmath', 'hypothesis', 'pytest'}))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [

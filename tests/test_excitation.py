@@ -36,6 +36,7 @@ from trapmotion import (
     propagate,
     uniform_motion_gamma,
 )
+import trapmotion.quadrature as quadrature
 from trapmotion.quadrature import BlockGrid
 
 TWO_PI = 2.0 * math.pi
@@ -184,7 +185,7 @@ def test_phase_matches_independent_quadrature(params):
     assert res.phi == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
-def test_non_convergence_raises_with_residual_estimate(params):
+def test_non_convergence_raises_with_residual_estimate(params, monkeypatch):
     # a jump the quadrature is not told about defeats grid doubling
     ax = Axis(
         b=lambda t: np.where(np.asarray(t, dtype=float) < 0.777, 0.0, 1.0),
@@ -195,7 +196,8 @@ def test_non_convergence_raises_with_residual_estimate(params):
     )
     from trapmotion import NumericalError
 
-    cfg = QuadratureConfig(max_doublings=4, tol=1e-12)
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 4)
+    cfg = QuadratureConfig(tol=1e-12)
     with pytest.raises(NumericalError) as info:
         excitation_amplitude(ax, params, 2.0, cfg, with_phase=False)
     assert info.value.residual is not None
@@ -293,22 +295,23 @@ def test_single_instant_integrals_agree_across_schemes(params):
 
 
 @pytest.mark.parametrize("which", ["u", "delta"])
-def test_hidden_jump_needs_a_breakpoint(params, which):
+def test_hidden_jump_needs_a_breakpoint(params, which, monkeypatch):
     t0 = 0.773  # never lands on a uniform grid node of [0, 2]
 
     def step(t):
         t = np.asarray(t, dtype=float)
         return np.where(t < t0, 1.0, -1.0)
 
-    def integral(breakpoints, cfg=None):
+    def integral(breakpoints):
         if which == "u":
             ax = _axis(bddot=step, breakpoints=breakpoints)
-            return excitation_amplitude(ax, params, 2.0, cfg, with_phase=False).u / U_PREF
+            return excitation_amplitude(ax, params, 2.0, with_phase=False).u / U_PREF
         ax = _axis(b=step, breakpoints=breakpoints)
-        return fixed_frame_delta(ax, params, 2.0, cfg) / DELTA_PREF
+        return fixed_frame_delta(ax, params, 2.0) / DELTA_PREF
 
-    with pytest.raises(NumericalError) as info:
-        integral((), QuadratureConfig(max_doublings=6))
+    with monkeypatch.context() as patched, pytest.raises(NumericalError) as info:
+        patched.setattr(quadrature, "MAX_DOUBLINGS", 6)
+        integral(())
     assert info.value.residual is not None
     sign = -1.0 if which == "u" else 1.0       # e^{-it} for u, e^{+it} for delta
     piece = lambda a, b: (np.exp(sign * 1j * b) - np.exp(sign * 1j * a)) / (sign * 1j)  # noqa: E731

@@ -29,6 +29,7 @@ from trapmotion import (
     save_snapshot,
     transition_probability,
 )
+import trapmotion.quadrature as quadrature
 from trapmotion.oracle import _delta_profile
 
 TWO_PI = 2.0 * math.pi
@@ -192,7 +193,7 @@ def test_driven_state_phases_converge_relative_to_the_drive(params):
     assert abs(delta - ref) <= 1e-7 * abs(ref)
 
 
-def test_driven_state_non_convergence_reports_residual(params):
+def test_driven_state_non_convergence_reports_residual(params, monkeypatch):
     # a jump in b the quadrature is not told about defeats grid doubling
     hidden_jump = Axis(
         b=lambda t: np.where(np.asarray(t, dtype=float) < 0.777, 0.0, 1.0),
@@ -202,7 +203,8 @@ def test_driven_state_non_convergence_reports_residual(params):
         starts_at_rest=True,
     )
     traj = Trajectory((hidden_jump,), 3.0)
-    cfg = QuadratureConfig(max_doublings=4, tol=1e-12)
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 4)
+    cfg = QuadratureConfig(tol=1e-12)
     with pytest.raises(NumericalError) as info:
         coherent_state(0.0, params, _static_grid(), 2.0, traj, cfg)
     assert info.value.residual is not None

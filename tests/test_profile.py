@@ -186,7 +186,7 @@ def test_chunked_batches_match_one_batch(params, monkeypatch):
     np.testing.assert_allclose(chunked.delta, whole.delta, rtol=1e-12)
 
 
-def test_non_convergence_raises_with_residual(params):
+def test_non_convergence_raises_with_residual(params, monkeypatch):
     # the hidden jump of test_excitation's non-convergence case
     ax = Axis(
         b=lambda t: np.where(np.asarray(t, dtype=float) < 0.777, 0.0, 1.0),
@@ -195,7 +195,8 @@ def test_non_convergence_raises_with_residual(params):
         starts_at_zero=True,
         starts_at_rest=True,
     )
-    cfg = QuadratureConfig(max_doublings=4, tol=1e-12)
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 4)
+    cfg = QuadratureConfig(tol=1e-12)
     with pytest.raises(NumericalError) as info:
         excitation_profile(ax, params, [2.0, 1.0], cfg)
     assert info.value.residual is not None

@@ -135,8 +135,9 @@ def test_refine_reports_residual_and_caps_intervals(monkeypatch):
     def evaluate(level):
         return (np.array([0.0, float(level)]),), (np.ones(2),)
 
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 3)
     with pytest.raises(NumericalError, match="toy sum did not stabilize") as info:
-        refine(evaluate, QuadratureConfig(max_doublings=3), "toy sum", 32)
+        refine(evaluate, QuadratureConfig(), "toy sum", 32)
     assert info.value.residual == 1.0
 
     monkeypatch.setattr(quadrature, "MAX_TOTAL_INTERVALS", 100)

@@ -15,6 +15,8 @@ from trapmotion import (
     objective,
     optimize,
 )
+import trapmotion.model as model
+import trapmotion.transport as transport
 from trapmotion.transport import verify_boundaries
 
 TWO_PI = 2.0 * math.pi
@@ -176,6 +178,25 @@ def test_optimize_solves_in_n_free_plus_two_quadratures(params):
     verify_boundaries(solution.trajectory, problem)
 
 
+@pytest.mark.parametrize("family", [PolynomialFamily(6), PiecewiseAccelerationFamily(5)],
+                         ids=["polynomial", "piecewise"])
+def test_optimize_builds_only_the_answer(params, family, monkeypatch):
+    # every trial's u(T) comes from the family's rows; one trajectory is built
+    built = []
+    real = model._piecewise_axis
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_piecewise_axis", counted)
+    monkeypatch.setattr(transport, "_piecewise_axis", counted)
+    problem = TransportProblem(1.0, 1.3 * TWO_PI, params, family)
+    solution = optimize(problem, threshold=0.0)
+    assert solution.evaluations == family.n_free + 2 == 5
+    assert len(built) == 1
+
+
 _PERIODS = np.linspace(1.1, 6.0, 15)
 
 
@@ -274,10 +295,3 @@ def test_optimize_with_piecewise_family(params):
     solution = optimize(problem)
     assert solution.residual < 1e-6
     verify_boundaries(solution.trajectory, problem)
-
-
-def test_optimize_accepts_explicit_quadrature_config(params):
-    problem = _poly_problem(params, d=1.0, periods=2.0)
-    cfg = QuadratureConfig(steps_per_period=32, tol=1e-7)
-    solution = optimize(problem, cfg=cfg)
-    assert solution.residual < 1e-4
