@@ -109,7 +109,7 @@ _KEYS = {
     "run": {"times": _LIST, "times_per_period": _LIST, "return_instants": _LIST,
             "max_level": ("integer", 0, 8), "tail_epsilon": ("positive", 1e-3, 1e-8),
             "oracle": ("ignored", None, None),
-            "steps_per_period": ("integer", orc.MIN_STEPS_PER_PERIOD, 2000),
+            "steps_per_period": ("integer", 2 * orc.MIN_STEPS_PER_PERIOD, 2000),
             "grid_points": ("pow2", 256, 4096),
             "quadrature_steps_per_period": ("integer", 16, QuadratureConfig.steps_per_period),
             "quadrature_scheme": ("ignored", None, None),
@@ -399,7 +399,7 @@ def cmd_oracle(scn: Scenario):
     times = sorted(build_times(scn, params, traj))
     cfg = build_quadrature(scn)
     max_level = scn.get("run", "max_level")
-    steps = scn.get("run", "steps_per_period")
+    ceiling = scn.get("run", "steps_per_period")
     points = scn.get("run", "grid_points")
     bound = scn.get("run", "oracle_bound")
     snapshot = scn.get("run", "snapshot")
@@ -414,28 +414,32 @@ def cmd_oracle(scn: Scenario):
         ax = traj.axes[0]
         for t in times:  # refuse an instant that cannot be measured before propagating
             orc._check_fit(max_level, float(ax.b(t)), float(ax.bdot(t)), params, grid)
-        state = orc.fock_state(0, float(ax.b(0.0)), float(ax.bdot(0.0)), params, grid)
+        # step doubling stops at a quarter of the bound, or at the steps_per_period ceiling
+        state, populations, notes, used, estimate = orc.ladder_populations(
+            orc.fock_state(0, float(ax.b(0.0)), float(ax.bdot(0.0)), params, grid),
+            traj, params, times, max_level, bound / 4.0, ceiling)
 
         print("t,n,p_analytic,p_grid,abs_dev,gamma,delta_sq", file=out)
         max_dev = 0.0
         delta_vs_gamma = 0.0
-        for t, gamma, delta in zip(times, gammas, prof.delta.tolist()):
-            state = orc.propagate(state, traj, params, t, steps)
-            grid_probs, truncation = orc._project(state, traj, params, max_level)
+        for t, gamma, delta, grid_probs, truncation in zip(
+                times, gammas, prof.delta.tolist(), populations.tolist(), notes):
             if truncation:
                 print(f"# warning: t = {_fmt(t)}, {truncation}", file=sys.stderr)
             delta_sq = abs(delta) ** 2
             delta_vs_gamma = max(delta_vs_gamma, abs(delta_sq - gamma))
-            for n in range(max_level + 1):
-                analytic = trans.transition_probability(0, n, gamma)
-                dev = abs(analytic - grid_probs[n])
+            for n, (analytic, p_grid) in enumerate(
+                    zip(trans._row(0, gamma, max_level + 1).tolist(), grid_probs)):
+                dev = abs(analytic - p_grid)
                 max_dev = max(max_dev, dev)
-                print(f"{_fmt(t)},{n},{_fmt(analytic)},{_fmt(grid_probs[n])},{_fmt(dev)},"
+                print(f"{_fmt(t)},{n},{_fmt(analytic)},{_fmt(p_grid)},{_fmt(dev)},"
                       f"{_fmt(gamma)},{_fmt(delta_sq)}", file=out)
         norm_drift = abs(state.norm() - 1.0)
         print(f"# max_abs_deviation = {_fmt(max_dev)}", file=out)
         print(f"# delta_sq_vs_gamma_max = {_fmt(delta_vs_gamma)}", file=out)
         print(f"# norm_drift = {_fmt(norm_drift)}", file=out)
+        print(f"# steps_per_period_used = {used}", file=out)
+        print(f"# step_error_estimate = {_fmt(estimate)}", file=out)
         if snapshot:
             orc.save_snapshot(state, snapshot)
         if max_dev > bound:

@@ -1,14 +1,13 @@
 """Brute-force verification on a spatial grid.
 
 Wavepackets are propagated under H = p^2/(2M) + M omega^2 (x - b(t))^2 / 2
-with a second-order Strang splitting (spectral kinetic half-steps around a
-potential step evaluated at the midpoint time; no step evaluates an
-exponential over the whole grid, see :func:`propagate`). Analytic states - Fock
-functions in the frame of the moving center carrying the Galilean boost
-phase exp(i M b' x / hbar), and the exactly known driven coherent state -
-are sampled on the same grid, so every closed-form probability elsewhere in
-the package can be cross-checked against direct integration of the
-Schroedinger equation with no shared code path.
+with a second-order Strang splitting (:func:`propagate`), at the step count
+that :func:`ladder_populations` finds by step doubling to meet an error bound,
+up to a ceiling. Analytic states - Fock functions in the frame of the moving
+center carrying the Galilean boost phase exp(i M b' x / hbar), and the exactly
+known driven coherent state - are sampled on the same grid, so every
+closed-form probability elsewhere in the package can be cross-checked against
+direct integration of the Schroedinger equation with no shared code path.
 
 There is no fixed cap on the Fock level. Level n fits a grid when its reach,
 sqrt(2n + 1) + 5 ground-state widths, lies inside the grid, and inside the
@@ -32,13 +31,13 @@ import numpy as np
 from .errors import NumericalError, ResourceError, TruncationWarning
 from .excitation import _check_time, _prefactors, _resolve_axis
 from .model import Axis, OscillatorParams, Trajectory
-from .quadrature import QuadratureConfig, running_integrals
+from .quadrature import QuadratureConfig, piece_bounds, running_integrals
 
-#: Minimum propagation resolution, steps per trap period.
-MIN_STEPS_PER_PERIOD = 500
+#: Minimum propagation resolution, steps per trap period: the ladder's lowest rung.
+MIN_STEPS_PER_PERIOD = 50
 
 _MARGIN_WIDTHS = 8.0     # make_grid's state-extent margin, in ground-state widths
-_EDGE_CHECK_EVERY = 16   # propagate tests the grid edges every this many steps
+_EDGE_CHECK_EVERY = 16   # propagate tests the grid edges every this many steps of a piece
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,11 @@ def _check_fit(n_max: int, center: float, velocity: float, params: OscillatorPar
     if center - reach * sigma < grid.x_min or center + reach * sigma > grid.x_max:
         raise ResourceError(f"grid [{grid.x_min}, {grid.x_max}] too small for Fock level "
                             f"{n_max} centered at {center}")
-    if abs(params.mass * velocity / params.hbar) + reach / sigma > math.pi / grid.dx:
-        raise ResourceError(f"grid step {grid.dx} too coarse for Fock level {n_max} "
-                            f"boosted to velocity {velocity}")
+    wavenumber = abs(params.mass * velocity / params.hbar) + reach / sigma
+    if wavenumber > math.pi / grid.dx:
+        fits = 1 << (math.ceil(wavenumber * (grid.x_max - grid.x_min) / math.pi) - 1).bit_length()
+        raise ResourceError(f"grid step {grid.dx} too coarse for Fock level {n_max} boosted to "
+                            f"velocity {velocity}; this extent needs grid_points >= {fits}")
     if 0.5 * reach ** 2 > -math.log(sys.float_info.min):
         raise ResourceError(f"Fock level {n_max} reaches {reach:.3g} widths, past the "
                             "float64 range of its start value exp(-xi^2 / 2)")
@@ -295,21 +296,25 @@ def propagate(state: GridState, traj: Trajectory | Axis, params: OscillatorParam
               t_final: float, steps_per_period: int = 2000) -> GridState:
     """Strang-split evolution of ``state`` from its own time to ``t_final``.
 
+    Steps land on the axis breakpoints, as quadrature segments do: a piece of
+    [t0, t_final] between them takes m = ceil(piece / (period /
+    MIN_STEPS_PER_PERIOD)) equal steps at the floor and ceil(m *
+    steps_per_period / MIN_STEPS_PER_PERIOD) in general, so doubling
+    steps_per_period halves every step, even on a piece shorter than one.
     Each step applies a spectral half kinetic step, the full potential step
     with the center evaluated at the midpoint time, and another half kinetic
-    step (adjacent half-steps are fused). The potential phase, factored about
-    the grid midpoint (y = x - mid, s = b - mid), is the chirp exp(v y^2),
-    made once per call, times exp(v s (s - 2 y)), whose y = y_hi[row] +
-    y_lo[col] split over a rows x cols view needs about 2 sqrt(points)
-    exponentials a step. Norm drift beyond 1e-6 aborts with a numerical
-    error; amplitude reaching the grid edge, or the Nyquist wavenumber
-    pi / dx, tested every 16 steps and at the end, aborts with a resource
-    error.
+    step (adjacent half-steps are fused, across piece edges too). The
+    potential phase, factored about the grid midpoint (y = x - mid, s = b -
+    mid), is the chirp exp(v y^2), made once per piece, times exp(v s (s - 2
+    y)), whose y = y_hi[row] + y_lo[col] split over a rows x cols view needs
+    about 2 sqrt(points) exponentials a step. Norm drift beyond 1e-6 aborts
+    with a numerical error; amplitude reaching the grid edge, or the Nyquist
+    wavenumber pi / dx, tested every 16 steps of a piece and at the end,
+    aborts with a resource error.
     """
     if steps_per_period < MIN_STEPS_PER_PERIOD:
-        raise ValueError(
-            f"steps_per_period must be >= {MIN_STEPS_PER_PERIOD}, got {steps_per_period}"
-        )
+        raise ValueError(f"steps_per_period must be >= {MIN_STEPS_PER_PERIOD}, "
+                         f"got {steps_per_period}")
     ax, duration = _resolve_axis(traj)
     _check_time(t_final, duration)
     t0 = state.t
@@ -319,40 +324,40 @@ def propagate(state: GridState, traj: Trajectory | Axis, params: OscillatorParam
         return state
     grid = state.grid
     omega = params.omega
-    period = 2.0 * math.pi / omega
-    n_steps = max(1, int(math.ceil((t_final - t0) / (period / steps_per_period))))
-    dt = (t_final - t0) / n_steps
-
-    k = grid.wavenumbers
-    kin_half = np.exp(-1j * params.hbar * k ** 2 * dt / (4.0 * params.mass))
-    kin_full = kin_half * kin_half / grid.points  # the unscaled inverse FFT's 1/n
-    v_coef = -1j * dt * params.mass * omega ** 2 / (2.0 * params.hbar)
+    floor_step = 2.0 * math.pi / omega / MIN_STEPS_PER_PERIOD
+    k_sq = grid.wavenumbers ** 2
     mid = 0.5 * (grid.x_min + grid.x_max)
     y = grid.x - mid
     cols = 1 << (grid.points.bit_length() // 2)
-    chirp = np.exp(v_coef * y * y).reshape(-1, cols)
     y_hi = y[::cols, None]
     y_lo = grid.dx * np.arange(cols)
-
-    t_mid = t0 + (np.arange(n_steps) + 0.5) * dt
-    b_mid = np.asarray(ax.b(t_mid), dtype=float)
-    psi = np.fft.ifft(kin_half * np.fft.fft(state.psi))
-    rows_cols = psi.reshape(chirp.shape)
-    phi = np.empty_like(psi)
-    buf = np.empty_like(psi)
-    for j in range(n_steps):
-        s = b_mid[j] - mid
-        rows_cols *= chirp
-        rows_cols *= np.exp(v_coef * s * (s - 2.0 * y_hi))
-        rows_cols *= np.exp(-2.0 * v_coef * s * y_lo)
-        np.fft.fft(psi, out=phi)
-        if j < n_steps - 1:
-            np.multiply(phi, kin_full, out=buf)
+    phi = np.fft.fft(state.psi)
+    psi, buf = np.empty_like(phi), np.empty_like(phi)
+    rows_cols = psi.reshape(-1, cols)
+    half = 1.0 / grid.points  # the pending kinetic half-step, with the inverse FFT's 1/n
+    for start, stop in piece_bounds(t0, t_final, ax.breakpoints):
+        n_steps = math.ceil(math.ceil((stop - start) / floor_step) * steps_per_period
+                            / MIN_STEPS_PER_PERIOD)
+        dt = (stop - start) / n_steps
+        kin_half = np.exp(-1j * params.hbar * k_sq * dt / (4.0 * params.mass))
+        kin_full = kin_half * kin_half / grid.points
+        v_coef = -1j * dt * params.mass * omega ** 2 / (2.0 * params.hbar)
+        chirp = np.exp(v_coef * y * y).reshape(rows_cols.shape)
+        t_mid = start + (np.arange(n_steps) + 0.5) * dt
+        np.multiply(phi, half * kin_half, out=buf)
+        for j, (t, b) in enumerate(zip(t_mid, np.asarray(ax.b(t_mid), dtype=float))):
             np.fft.ifft(buf, norm="forward", out=psi)
-        if j % _EDGE_CHECK_EVERY == _EDGE_CHECK_EVERY - 1:
-            _check_extent(psi, grid, f"wavepacket at t ~ {t_mid[j]:.6g}")
-            _check_bandwidth(phi, grid, f"wavepacket at t ~ {t_mid[j]:.6g}")
-    psi = np.fft.ifft(kin_half * phi)
+            s = b - mid
+            rows_cols *= chirp
+            rows_cols *= np.exp(v_coef * s * (s - 2.0 * y_hi))
+            rows_cols *= np.exp(-2.0 * v_coef * s * y_lo)
+            np.fft.fft(psi, out=phi)
+            np.multiply(phi, kin_full, out=buf)
+            if j % _EDGE_CHECK_EVERY == _EDGE_CHECK_EVERY - 1:
+                _check_extent(psi, grid, f"wavepacket at t ~ {t:.6g}")
+                _check_bandwidth(phi, grid, f"wavepacket at t ~ {t:.6g}")
+        half = kin_half / grid.points
+    psi = np.fft.ifft(half * phi, norm="forward")
 
     end = GridState(grid, psi, t_final)
     drift = abs(end.norm() - state.norm())
@@ -362,6 +367,33 @@ def propagate(state: GridState, traj: Trajectory | Axis, params: OscillatorParam
     # the last kinetic half-step leaves |phi| unchanged
     _check_bandwidth(phi, grid, f"wavepacket at t = {t_final:.6g}")
     return end
+
+
+def ladder_populations(state: GridState, traj: Trajectory | Axis, params: OscillatorParams,
+                       times, n_max: int, tol: float, max_steps_per_period: int = 2000):
+    """Populations n <= ``n_max`` of ``state`` propagated through the sorted
+    ``times`` at N steps a period, N chosen by step doubling: from N = 2 *
+    MIN_STEPS_PER_PERIOD, N doubles while E_N = max |P_N - P_{N/2}| over
+    instants and levels exceeds ``tol`` and 2N is within the ceiling
+    ``max_steps_per_period``. E_N bounds the error of P_N whenever halving the
+    step at least doubles the error (Strang splitting is second order).
+    Returns the run at N (its last state, a population row and a
+    :func:`_project` truncation message per instant), then N and E_N."""
+    if max_steps_per_period < 2 * MIN_STEPS_PER_PERIOD:
+        raise ValueError(f"max_steps_per_period must be >= {2 * MIN_STEPS_PER_PERIOD}")
+
+    def run(steps):
+        current, measured = state, []
+        for t in times:
+            current = propagate(current, traj, params, t, steps)
+            measured.append(_project(current, traj, params, n_max))
+        return current, np.array([m[0] for m in measured]), [m[1] for m in measured]
+
+    steps, fine, estimate = MIN_STEPS_PER_PERIOD, run(MIN_STEPS_PER_PERIOD), math.inf
+    while estimate > tol and 2 * steps <= max_steps_per_period:
+        steps, coarse, fine = 2 * steps, fine, run(2 * steps)
+        estimate = float(np.max(np.abs(fine[1] - coarse[1]), initial=0.0))
+    return *fine, steps, estimate
 
 
 def _project(state: GridState, traj: Trajectory | Axis, params: OscillatorParams,

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trapmotion import transitions as trans
 from trapmotion.cli import main, parse_config
 from trapmotion.errors import ConfigError
 
@@ -352,6 +353,36 @@ steps_per_period = 500
 """
 
 
+def _summary(out, key):
+    return float(out.split(f"# {key} = ")[1].splitlines()[0])
+
+
+@pytest.mark.parametrize("demo", ["constant_accel", "kick_g5", "sinusoid_resonance"])
+def test_oracle_demos_report_a_step_error_estimate_that_bounds_the_deviation(capsys, demo):
+    code, out, _ = run_cli(capsys, "oracle", "--config", f"demo:{demo}")
+    assert code == 0
+    assert _summary(out, "steps_per_period_used") in (100, 200, 400, 800, 1600)
+    assert _summary(out, "max_abs_deviation") <= _summary(out, "step_error_estimate") <= 2.5e-4
+
+
+def test_oracle_at_its_ceiling_reports_the_estimate_and_still_checks_the_bound(tmp_path, capsys):
+    # a bound the ceiling cannot meet: the run stops at 100 steps a period and
+    # the measured deviation still decides the exit code
+    text = ORACLE_BASE.format(a=1.0, extra="oracle_bound = 1e-9").replace(
+        "steps_per_period = 600", "steps_per_period = 100")
+    code, out, err = run_cli(capsys, "oracle", "--config", write_config(tmp_path, text))
+    assert code == 4 and "oracle mismatch" in err
+    assert _summary(out, "steps_per_period_used") == 100
+    assert _summary(out, "step_error_estimate") > 2.5e-10
+
+
+def test_oracle_analytic_row_is_the_scalar_poisson_mass():
+    # cmd_oracle reads P_0n for n <= max_level off one row per instant
+    for gamma in (1e-9, 0.3, 4.74, 60.0, 400.0):
+        row = trans._row(0, gamma, 13).tolist()
+        assert row == [trans.transition_probability(0, n, gamma) for n in range(13)]
+
+
 def test_oracle_refuses_an_unmeasurable_instant_before_propagating(tmp_path, capsys):
     # the grid is sized from the excursion, so at t = 6 pi level 8 boosted to
     # velocity 6 pi passes its Nyquist wavenumber; t = 2 pi and 4 pi still fit
@@ -648,7 +679,7 @@ _NAN_TIMES = _RUN.replace("times = 3.141592653589793", "times = nan")
     ("probs", _RUN.replace("max_level = 8", "max_level = -1")),
     ("oracle", _RUN.replace("max_level = 8", "max_level = -1")),
     ("oracle", _RUN.replace("grid_points = 1024", "grid_points = 1000")),
-    ("oracle", _RUN.replace("steps_per_period = 600", "steps_per_period = 100")),
+    ("oracle", _RUN.replace("steps_per_period = 600", "steps_per_period = 40")),
     ("transport", "[oscillator]\ndimensionless = on\n[transport]\ndisplacement = 1.0\n"
                   "duration_periods = 2\nsamples = -3\n"),
     ("transport", "[oscillator]\ndimensionless = on\n[transport]\ndisplacement = 1.0\n"

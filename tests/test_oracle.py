@@ -14,6 +14,7 @@ from trapmotion import (
     Trajectory,
     TruncationWarning,
     coherent_state,
+    excitation_profile,
     fixed_frame_delta,
     fock_state,
     load_snapshot,
@@ -30,7 +31,7 @@ from trapmotion import (
     transition_probability,
 )
 import trapmotion.quadrature as quadrature
-from trapmotion.oracle import _delta_profile
+from trapmotion.oracle import MIN_STEPS_PER_PERIOD, _delta_profile, ladder_populations
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,6 +122,13 @@ def test_fock_level_fit_rule(params):
     traj = make_constant_acceleration(0.0, TWO_PI)
     with pytest.raises(ResourceError):
         measure_transitions(fock_state(0, 0.0, 0.0, params, coarse), traj, params, 30)
+
+
+def test_too_coarse_grid_names_the_point_count_that_fits(params):
+    # level 8 boosted to v = 15 needs pi / dx >= 15 + 9.12, 308 points over 40
+    with pytest.raises(ResourceError, match=r"needs grid_points >= 512$"):
+        fock_state(8, 0.0, 15.0, params, Grid(-20.0, 20.0, 256))
+    fock_state(8, 0.0, 15.0, params, Grid(-20.0, 20.0, 512))
 
 
 def test_high_fock_levels_on_a_fine_grid(params):
@@ -239,7 +247,7 @@ def test_propagate_validates_inputs(params):
     grid = _static_grid(10.0, 512)
     start = fock_state(0, 0.0, 0.0, params, grid)
     with pytest.raises(ValueError):
-        propagate(start, traj, params, 0.5, 100)   # too few steps per period
+        propagate(start, traj, params, 0.5, 40)    # too few steps per period
     with pytest.raises(ValueError):
         propagate(start, traj, params, 2.0, 500)   # beyond duration
     with pytest.raises(ValueError):
@@ -380,20 +388,23 @@ def test_phase_convention_does_not_change_probabilities(params):
 
 
 def _direct_phase_propagate(state, traj, params, t_final, steps_per_period):
-    """Reference Strang loop: the potential phase exp(v (x - b)^2) is
-    evaluated directly over the whole grid at every step."""
-    grid = state.grid
-    n_steps = max(1, math.ceil((t_final - state.t) / (TWO_PI / params.omega / steps_per_period)))
-    dt = (t_final - state.t) / n_steps
-    kin_half = np.exp(-1j * params.hbar * grid.wavenumbers ** 2 * dt / (4.0 * params.mass))
-    v_coef = -1j * dt * params.mass * params.omega ** 2 / (2.0 * params.hbar)
-    x = grid.x
-    b_mid = traj.axes[0].b(state.t + (np.arange(n_steps) + 0.5) * dt)
-    psi = np.fft.ifft(kin_half * np.fft.fft(state.psi))
-    for j in range(n_steps):
-        psi = psi * np.exp(v_coef * (x - b_mid[j]) ** 2)
-        kin = kin_half if j == n_steps - 1 else kin_half * kin_half
-        psi = np.fft.ifft(kin * np.fft.fft(psi))
+    """Reference Strang loop on propagate's step layout (pieces between the
+    breakpoints, each taking steps_per_period / MIN_STEPS_PER_PERIOD times its
+    steps at the floor): every step applies both kinetic half-steps, and the
+    potential phase exp(v (x - b)^2) is evaluated directly over the grid."""
+    grid, ax = state.grid, traj.axes[0]
+    x, k_sq = grid.x, grid.wavenumbers ** 2
+    psi = state.psi
+    for start, stop in quadrature.piece_bounds(state.t, t_final, ax.breakpoints):
+        floor_steps = math.ceil((stop - start) / (TWO_PI / params.omega / MIN_STEPS_PER_PERIOD))
+        n_steps = math.ceil(floor_steps * steps_per_period / MIN_STEPS_PER_PERIOD)
+        dt = (stop - start) / n_steps
+        kin_half = np.exp(-1j * params.hbar * k_sq * dt / (4.0 * params.mass))
+        v_coef = -1j * dt * params.mass * params.omega ** 2 / (2.0 * params.hbar)
+        for b in ax.b(start + (np.arange(n_steps) + 0.5) * dt):
+            psi = np.fft.ifft(kin_half * np.fft.fft(psi))
+            psi = psi * np.exp(v_coef * (x - b) ** 2)
+            psi = np.fft.ifft(kin_half * np.fft.fft(psi))
     return psi
 
 
@@ -421,6 +432,53 @@ def test_propagation_is_translation_invariant(params):
         start = fock_state(0, offset, 0.0, params, grid)
         psis.append(propagate(start, traj, params, TWO_PI, 1000).psi)
     assert np.max(np.abs(psis[0] - psis[1])) <= 1e-12
+
+
+# --- step doubling -----------------------------------------------------------------
+
+def _ladder_setup(params, traj):
+    times = [0.37 * TWO_PI, 1.2 * TWO_PI]
+    gammas = excitation_profile(traj, params, times).gamma.tolist()
+    grid = make_grid(traj, params, 1024, alpha_extent=3.0, n_max=8)
+    return fock_state(0, 0.0, 0.0, params, grid), times, gammas
+
+
+@pytest.mark.parametrize("traj", [
+    make_kick(1.0, 0.01 * TWO_PI, 1.2 * TWO_PI),
+    make_constant_acceleration(1.0, 1.2 * TWO_PI),
+    make_sinusoidal(0.3, 0.7, 1.2 * TWO_PI),
+], ids=["kick", "constant_accel", "sinusoid"])
+@pytest.mark.parametrize("ceiling", [100, 200, 400])
+def test_step_error_estimate_bounds_the_deviation_at_every_rung(params, traj, ceiling):
+    # tol = 0 is never met, so the ladder climbs to the ceiling and each
+    # ceiling reports one rung (N / 2, N)
+    start, times, gammas = _ladder_setup(params, traj)
+    _, probs, notes, used, estimate = ladder_populations(start, traj, params, times, 8, 0.0,
+                                                         ceiling)
+    assert used == ceiling and notes == [None, None]
+    analytic = np.array([[transition_probability(0, n, g) for n in range(9)] for g in gammas])
+    deviation = float(np.max(np.abs(probs - analytic)))
+    assert deviation <= estimate
+
+
+def test_ceiling_below_the_bound_runs_at_the_ceiling(params):
+    traj = make_sinusoidal(0.3, 0.7, 1.2 * TWO_PI)
+    start, times, _ = _ladder_setup(params, traj)
+    populations = {}
+    for steps in (100, 200):
+        state = start
+        for t in times:
+            state = propagate(state, traj, params, t, steps)
+            populations.setdefault(steps, []).append(measure_transitions(state, traj, params, 8))
+    want = float(np.max(np.abs(np.subtract(populations[200], populations[100]))))
+    assert want > 1e-9
+    for ceiling in (200, 399):   # the largest rung within the ceiling
+        end, probs, _, used, estimate = ladder_populations(start, traj, params, times, 8, 1e-9,
+                                                           ceiling)
+        assert (used, estimate) == (200, want)
+        assert np.array_equal(probs, populations[200]) and end.t == times[-1]
+    with pytest.raises(ValueError, match="max_steps_per_period"):
+        ladder_populations(start, traj, params, times, 8, 1e-3, 99)
 
 
 # --- snapshots -----------------------------------------------------------------------
